@@ -7,6 +7,7 @@ be supplied explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -20,8 +21,9 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not value > 0.0:
-                raise ValueError(f"constant {name!r} must be strictly positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"constant {name!r} must be finite and strictly positive, got {value!r}")
 
     @classmethod
     def si(cls) -> "PhysicalConstants":

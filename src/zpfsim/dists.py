@@ -22,6 +22,7 @@ from .constants import PhysicalConstants
 from .lattice import ModeGrid
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
+_BLOCK_ELEMENTS = 2**20  # size of the largest (rows x s) temporary in a blocked loop
 
 
 class InsufficientRangeError(ValueError):
@@ -160,7 +161,7 @@ def gaussian_generating(s, sigma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def boyer_generating(s, s_direction, grid: ModeGrid, chunk: int = 4096):
+def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function of the random-phase field:
     prod_k J0(sqrt(2) sigma_k s (shat . eps_k))."""
     d = np.asarray(s_direction, dtype=float)
@@ -170,8 +171,9 @@ def boyer_generating(s, s_direction, grid: ModeGrid, chunk: int = 4096):
     proj = grid.eps @ d
     scale = np.sqrt(2.0) * grid.sigma * proj
     out = np.ones_like(s)
-    for lo in range(0, len(grid), chunk):
-        out *= np.prod(j0(np.outer(s, scale[lo:lo + chunk])), axis=1)
+    block = max(1, _BLOCK_ELEMENTS // max(1, s.size))
+    for lo in range(0, len(grid), block):
+        out *= np.prod(j0(np.outer(s, scale[lo:lo + block])), axis=1)
     return float(out[0]) if s_in.ndim == 0 else out
 
 
@@ -202,10 +204,44 @@ class BesselProductGF:
         return boyer_generating(s, self.s_direction, self.grid)
 
 
+def _chirp_z(a, s, x0: float, dx: float, m: int) -> np.ndarray:
+    """sum_j a_j exp(i (x0 + k dx) s_j) for k = 0..m-1 on a uniform s grid.
+
+    Bluestein's identity k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum
+    into one convolution with the chirp w(t) = exp(i dx ds t^2 / 2), done
+    by FFT at a power-of-two length of at least n + m - 1.
+    """
+    n = s.size
+    ds = (s[-1] - s[0]) / (n - 1)
+    t = np.arange(1 - n, m, dtype=float)
+    w = np.exp(0.5j * (dx * ds) * (t * t))  # t^2 is exact in double up to 2^53
+    size = 1 << (n + m - 2).bit_length()
+    u = np.fft.fft(a * np.exp(1j * x0 * s) * w[n - 1::-1], size)
+    conv = np.fft.ifft(u * np.fft.fft(w.conj(), size))[n - 1:n - 1 + m]
+    k = np.arange(m, dtype=float)
+    return np.exp(1j * k * dx * s[0]) * w[n - 1:] * conv
+
+
+def _is_uniform(x: np.ndarray) -> bool:
+    """True when x has at least two points and each x_m lies within 1e-12
+    of the span from x_0 + m dx, dx = (x_{M-1} - x_0) / (M - 1)."""
+    if x.size < 2:
+        return False
+    span = x[-1] - x[0]
+    ideal = x[0] + np.arange(x.size) * (span / (x.size - 1))
+    return bool(np.max(np.abs(x - ideal)) <= 1e-12 * abs(span))
+
+
 def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
-                          decay_tol: float = 1e-10, chunk: int = 256) -> np.ndarray:
+                          decay_tol: float = 1e-10) -> np.ndarray:
     """Recover a density from its generating function by discretized
     quadrature of the inverse transform over s in [-s_max, s_max].
+
+    On a uniform x grid of M points (every ``np.linspace`` grid) the
+    trapezoid sum over the n_s nodes is a chirp-z transform, evaluated by
+    FFT in O((M + n_s) log(M + n_s)) with O(M + n_s) memory. Any other x
+    grid gets the direct sum, in blocks of rows that hold about 2^20
+    elements each, so memory stays bounded there too.
 
     The caller supplies the range; if |g| at the range edge exceeds
     ``decay_tol`` the transform is untrustworthy and an
@@ -213,6 +249,8 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
     mass on x_grid. A symmetric s-grid maps a symmetric gf to a symmetric
     density.
     """
+    if n_s < 2:
+        raise ValueError("n_s must be at least 2")
     x_grid = np.asarray(x_grid, dtype=float)
     s = np.linspace(-s_max, s_max, n_s)
     g = np.asarray(gf(s), dtype=complex)
@@ -222,11 +260,18 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
             f"insufficient s-range: |g| = {edge:.3g} at s = +-{s_max:g} "
             f"exceeds decay tolerance {decay_tol:g}"
         )
-    pdf = np.empty_like(x_grid)
-    for lo in range(0, x_grid.size, chunk):
-        xs = x_grid[lo:lo + chunk]
-        vals = np.trapezoid(g[None, :] * np.exp(1j * np.outer(xs, s)), s, axis=1)
-        pdf[lo:lo + chunk] = vals.real / (2.0 * np.pi)
+    wg = g * (2.0 * s_max / (n_s - 1))  # trapezoid weights: ds, ds/2 at both ends
+    wg[[0, -1]] *= 0.5
+    if _is_uniform(x_grid):
+        dx = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)
+        pdf = _chirp_z(wg, s, x_grid[0], dx, x_grid.size).real
+    else:
+        pdf = np.empty_like(x_grid)
+        rows = max(1, _BLOCK_ELEMENTS // n_s)
+        for lo in range(0, x_grid.size, rows):
+            phase = np.outer(x_grid[lo:lo + rows], s)
+            pdf[lo:lo + rows] = np.cos(phase) @ wg.real - np.sin(phase) @ wg.imag
+    pdf /= 2.0 * np.pi
     mass = np.trapezoid(pdf, x_grid)
     if not mass > 0.0:
         raise InsufficientRangeError("inverted density has non-positive mass")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .constants import PhysicalConstants
 
@@ -326,6 +325,8 @@ def continuum_sum_check(grid: ModeGrid, f):
              V/(pi^2 c^3) * integral_0^cutoff omega^2 f(omega) domega).
     The pair quantifies how well the lattice approximates free space.
     """
+    from scipy import integrate  # imported here: it costs ~0.3 s and nothing else needs it
+
     if grid.volume is None or grid.omega_cutoff is None:
         raise ValueError("continuum comparison needs a grid with volume and cutoff")
     try:

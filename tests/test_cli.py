@@ -40,6 +40,14 @@ class TestValidation:
         assert rc == 1
         assert "samples" in capsys.readouterr().err
 
+    def test_non_finite_constant(self, tmp_path, capsys):
+        # json reads 1e400 as inf, which is > 0 but not a usable constant
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 1, "constants": {"hbar": 1e400}}')
+        rc = main(["sample-mode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "hbar" in capsys.readouterr().err
+
 
 class TestSampleMode:
     def test_modified_passes_gaussian(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -27,7 +29,12 @@ from zpfsim import (
     zero_point_energy_density,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import binned_energy_density, energy_density_bin_average, gaussian_cdf
+from zpfsim.dists import (
+    _is_uniform,
+    binned_energy_density,
+    energy_density_bin_average,
+    gaussian_cdf,
+)
 
 CONSTS = PhysicalConstants()
 
@@ -241,6 +248,17 @@ class TestGeneratingFunctions:
             assert 3.0 < ratio < 7.0
 
 
+def single_mode_arcsine(n_x):
+    """One-mode Bessel product, its arcsine amplitude, and n_x points
+    inside the support with 5% of it cut at each end."""
+    grid = grid_from_kvectors([[0.0, 0.0, 1.0]], volume=0.5, constants=CONSTS,
+                              polarizations=(1,))
+    amp = np.sqrt(2.0) * float(grid.sigma[0])
+    margin = 0.05 * amp
+    x = np.linspace(-amp + margin, amp - margin, n_x)
+    return amp, BesselProductGF(grid, (1.0, 0.0, 0.0)), x
+
+
 class TestInversion:
     def test_gaussian_roundtrip(self):
         x = np.linspace(-6, 6, 1201)
@@ -261,13 +279,8 @@ class TestInversion:
         # Bessel-product gf of one mode inverts to the arcsine density; the
         # J0 envelope decays only as s^-1/2, so a relaxed decay tolerance and
         # a wide range are needed, and the endpoints are excluded.
-        grid = grid_from_kvectors([[0.0, 0.0, 1.0]], volume=0.5, constants=CONSTS,
-                                  polarizations=(1,))
-        amp = np.sqrt(2.0) * float(grid.sigma[0])
-        margin = 0.05 * amp
-        x = np.linspace(-amp + margin, amp - margin, 801)
-        pdf = invert_characteristic(BesselProductGF(grid, (1.0, 0.0, 0.0)), x,
-                                    s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
+        amp, gf, x = single_mode_arcsine(801)
+        pdf = invert_characteristic(gf, x, s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
         cdf_num = integrate.cumulative_trapezoid(pdf, x, initial=0.0)
         # renormalization spreads the excluded endpoint mass over the interior;
         # rescale by the analytic interior mass before comparing
@@ -275,6 +288,49 @@ class TestInversion:
         cdf_num = cdf_num * interior + arcsine_cdf(x[0], amp)
         err = np.max(np.abs(cdf_num - arcsine_cdf(x, amp)))
         assert err < 1e-3
+
+    def test_memory_bounded(self):
+        # the direct sum over 801 x and 2^17 + 1 s peaked near 1.6 GB
+        _, gf, x = single_mode_arcsine(801)
+        tracemalloc.start()
+        try:
+            invert_characteristic(gf, x, s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("case", ["arcsine", "many_modes"])
+    def test_chirp_z_matches_direct_sum(self, case):
+        # moving one node by 1e-9 dx (5-17 times the uniform-grid threshold
+        # of 1e-12 of the span) sends the same nodes through the direct sum,
+        # the reference. The inverted arcsine density rings with slopes near
+        # 100, so a larger move would shift the renormalizing mass by more
+        # than the tolerance.
+        if case == "arcsine":
+            _, gf, x = single_mode_arcsine(61)
+            kw = dict(s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
+        else:
+            grid = build_grid(4 * np.pi, 1.5, CONSTS)  # 244 modes
+            sd = np.sqrt(grid.component_variance((0.3, 0.5, 0.8)))
+            gf = BesselProductGF(grid, (0.3, 0.5, 0.8))
+            x = np.linspace(-8.0, 8.0, 201) * sd
+            kw = dict(s_max=10.0 / sd)
+        moved = x.copy()
+        moved[1] += 1e-9 * (x[1] - x[0])
+        assert _is_uniform(x) and not _is_uniform(moved)
+        fast = invert_characteristic(gf, x, **kw)
+        direct = invert_characteristic(gf, moved, **kw)
+        keep = np.arange(x.size) != 1
+        dev = np.max(np.abs(fast[keep] - direct[keep]))
+        assert dev < 1e-8 * np.max(np.abs(direct))
+
+    def test_non_uniform_gaussian(self):
+        # two spacings that meet at 0, where the odd derivatives of the
+        # density vanish, so the trapezoid mass stays exact
+        x = np.concatenate([np.linspace(-6, 0, 401), np.linspace(0, 6, 1001)[1:]])
+        pdf = invert_characteristic(GaussianGF(1.0), x, s_max=8.0)
+        assert np.max(np.abs(pdf - gaussian_mode_pdf(x, 1.0))) < 1e-6
 
 
 class TestEnergyDensity:
