@@ -106,7 +106,18 @@ def load_config(args, command: str) -> dict:
     cfg.setdefault("constants", PhysicalConstants().to_dict())
     cfg.setdefault("r", [0.0, 0.0, 0.0])
     cfg.setdefault("t", 0.0)
+    if not _finite_real(cfg["t"]):
+        raise ConfigError(f"field 't' must be a finite real number, got {cfg['t']!r}")
+    r = cfg["r"]
+    if not (isinstance(r, (list, tuple)) and len(r) == 3 and all(map(_finite_real, r))):
+        raise ConfigError(f"field 'r' must be three finite real numbers, got {r!r}")
     return cfg
+
+
+def _finite_real(value) -> bool:
+    """A JSON number that converts to a finite double (not nan, inf or huge)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _constants(cfg) -> PhysicalConstants:

@@ -154,11 +154,16 @@ def energy_density_bin_average(bin_edges, constants: PhysicalConstants):
 
 # ---------------------------------------------------- generating functions
 
+def _gaussian_cf(s, var: float):
+    """exp(-s^2 var / 2): a float for scalar s, else an array."""
+    s = np.asarray(s, dtype=float)
+    out = np.exp(-(s**2) * var / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def gaussian_generating(s, sigma: float):
     """Characteristic function exp(-s^2 sigma^2 / 2) of a centered normal."""
-    s = np.asarray(s, dtype=float)
-    out = np.exp(-(s**2) * sigma**2 / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _gaussian_cf(s, sigma**2)
 
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
@@ -181,10 +186,7 @@ def lattice_gaussian_generating(s, s_direction, grid: ModeGrid):
     """Gaussian generating function with the variance summed over the same
     grid, exp(-s^2/2 * sum_k sigma_k^2 (shat.eps_k)^2). This is the
     retained-quadratic-terms limit of the Bessel product on that grid."""
-    var = grid.component_variance(s_direction)
-    s = np.asarray(s, dtype=float)
-    out = np.exp(-(s**2) * var / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _gaussian_cf(s, grid.component_variance(s_direction))
 
 
 @dataclass(frozen=True)

@@ -185,9 +185,9 @@ class SampleSet:
         return path
 
 
-def _mode_coefficients(kind: FieldKind, sigma: float, phi: float):
+def _mode_coefficients(kind: FieldKind, sigma, phi):
     # amplitude = a*X + b*Y with (X, Y) = (cos, sin) of the phase draw for
-    # Boyer and the (u, v) normal pair for Modified
+    # Boyer and the (u, v) normal pair for Modified; scalars or per-mode arrays
     if kind is FieldKind.BOYER:
         return SQRT2 * sigma * np.cos(phi), -SQRT2 * sigma * np.sin(phi)
     return sigma * np.cos(phi), -sigma * np.sin(phi)
@@ -210,13 +210,16 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
     phi = float(grid.k[mode_index] @ np.asarray(r, dtype=float)
                 - grid.omega[mode_index] * t)
     a, b = _mode_coefficients(kind, float(grid.sigma[mode_index]), phi)
+    block = rng.BLOCK_PHASE if kind is FieldKind.BOYER else rng.BLOCK_NORMAL_PAIR
+    uni = rng.mode_uniforms(seed, mode_index, block * n, start=start * block)
     if kind is FieldKind.BOYER:
-        uni = rng.mode_uniforms(seed, mode_index, n, start=start * rng.BLOCK_PHASE)
-        values = kernels.phase_amps(uni, a, b)
+        values, y = kernels.phase_xy(uni)
     else:
-        uni = rng.mode_uniforms(seed, mode_index, 2 * n,
-                                start=start * rng.BLOCK_NORMAL_PAIR).reshape(n, 2)
-        values = kernels.normal_amps(uni, a, b)
+        values, y = kernels.normal_xy(uni.reshape(n, 2))
+    # in place: one fewer n-sample temporary than a * x + b * y
+    values *= a
+    y *= b
+    values += y
     meta = {
         "kind": kind.value, "grid": grid.fingerprint, "mode_index": mode_index,
         "r": list(np.asarray(r, dtype=float)), "t": float(t),
@@ -237,26 +240,9 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
     seed = rng.check_seed(seed)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    phi = _phases(grid, r, t)
-    out = np.zeros((n, 3))
-    block = rng.BLOCK_PHASE if kind is FieldKind.BOYER else rng.BLOCK_NORMAL_PAIR
-    for i in range(len(grid)):
-        sigma = float(grid.sigma[i])
-        a, b = _mode_coefficients(kind, sigma, float(phi[i]))
-        coef_a = a * grid.eps[i]
-        coef_b = b * grid.eps[i]
-        gen = rng.mode_stream(seed, i)
-        rng.skip_uniforms(gen, start * block)
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            if kind is FieldKind.BOYER:
-                uni = gen.random(m)
-                kernels.accumulate_phase(out[done:done + m], uni, coef_a, coef_b)
-            else:
-                uni = gen.random(2 * m).reshape(m, 2)
-                kernels.accumulate_normal(out[done:done + m], uni, coef_a, coef_b)
-            done += m
+    a, b = _mode_coefficients(kind, grid.sigma, _phases(grid, r, t))
+    out = kernels.mode_sum(kind, a[:, None] * grid.eps, b[:, None] * grid.eps,
+                           n, seed, start, chunk)
     meta = {
         "kind": kind.value, "grid": grid.fingerprint,
         "r": list(np.asarray(r, dtype=float)), "t": float(t),

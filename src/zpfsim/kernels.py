@@ -1,150 +1,57 @@
-"""Hot numeric kernels: mode-batch amplitudes and per-mode accumulation.
+"""Numpy mode sum: uniforms -> (X, Y), contraction over modes.
 
-Every kernel exists twice: a pure-numpy implementation (suffix ``_np``) and
-a numba ``@njit`` twin (suffix ``_jit``). The public names dispatch to the
-JIT build when numba imports cleanly and the environment variable
-``ZPFSIM_NO_NUMBA`` is unset or "0"; otherwise the numpy path is used.
-Both paths implement identical arithmetic; ``benchmarks/bench_kernels.py``
-times them against each other and checks agreement.
-
-All kernels consume raw uniform draws so that random-number accounting
-stays in one place (see rng.py): a phase mode uses one uniform per sample,
-a complex-Gaussian mode uses a Box-Muller pair. Amplitude and accumulation
-kernels share one algebraic shape,
-
-    value = a * X + b * Y
-
-with (X, Y) = (cos theta, sin theta) for random-phase draws and (u, v) for
-normal draws; the (a, b) coefficients encode sigma, the evaluation phase
+Every batch sampler draws a pair (X, Y) per realization from each mode's
+own stream (rng.py) and sums X a_k + Y b_k over the modes k. Boyer (random
+phase) modes use (cos theta, sin theta) with theta = 2 pi U, one uniform
+per realization; modified (complex Gaussian) modes use a Box-Muller pair
+of two uniforms. The rows (a_k, b_k) encode sigma, the evaluation phase
 and, for the driven oscillator, the transfer function.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via ZPFSIM_NO_NUMBA instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco
+from . import rng
 
 
-USE_NUMBA = HAVE_NUMBA and os.environ.get("ZPFSIM_NO_NUMBA", "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-TWO_PI = 2.0 * np.pi
+def phase_xy(uniforms):
+    """(cos theta, sin theta) with theta = 2*pi*U, one U per sample."""
+    theta = rng.TWO_PI * uniforms
+    return np.cos(theta), np.sin(theta)
 
 
-# ---------------------------------------------------------------- numpy path
-
-def phase_amps_np(uniforms, a, b):
-    """a*cos(theta) + b*sin(theta) with theta = 2*pi*U, one U per sample."""
-    theta = TWO_PI * uniforms
-    return a * np.cos(theta) + b * np.sin(theta)
+def normal_xy(uniforms):
+    """(u, v) Box-Muller pairs from an (n, 2) uniform block."""
+    return rng.boxmuller(uniforms[:, 0], uniforms[:, 1])
 
 
-def normal_amps_np(uniforms, a, b):
-    """a*u + b*v with (u, v) Box-Muller pairs from an (n, 2) uniform block."""
-    r = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0]))
-    ang = TWO_PI * uniforms[:, 1]
-    return a * (r * np.cos(ang)) + b * (r * np.sin(ang))
+def accumulate_phase(out, uniforms, coef_a, coef_b):
+    x, y = phase_xy(uniforms)
+    out += np.outer(x, coef_a) + np.outer(y, coef_b)
 
 
-def accumulate_phase_np(out, uniforms, coef_a, coef_b):
-    """out[j] += cos(theta_j)*coef_a + sin(theta_j)*coef_b (3-vector coefs)."""
-    theta = TWO_PI * uniforms
-    out += np.outer(np.cos(theta), coef_a) + np.outer(np.sin(theta), coef_b)
+def accumulate_normal(out, uniforms, coef_a, coef_b):
+    x, y = normal_xy(uniforms)
+    out += np.outer(x, coef_a) + np.outer(y, coef_b)
 
 
-def accumulate_normal_np(out, uniforms, coef_a, coef_b):
-    """out[j] += u_j*coef_a + v_j*coef_b with Box-Muller pairs (u, v)."""
-    r = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0]))
-    ang = TWO_PI * uniforms[:, 1]
-    out += np.outer(r * np.cos(ang), coef_a) + np.outer(r * np.sin(ang), coef_b)
-
-
-# ----------------------------------------------------------------- jit twins
-
-@njit(cache=True)
-def phase_amps_jit(uniforms, a, b):
-    n = uniforms.shape[0]
-    out = np.empty(n)
-    for j in range(n):
-        theta = TWO_PI * uniforms[j]
-        out[j] = a * np.cos(theta) + b * np.sin(theta)
+def mode_sum(kind, coef_a, coef_b, n: int, seed: int, start: int,
+             chunk: int) -> np.ndarray:
+    """Rows start..start+n-1 of sum_k X_k coef_a[k] + Y_k coef_b[k] for
+    kind "boyer" or "modified". Mode k reads stream k of ``seed``, in
+    chunks of ``chunk`` realizations, so memory stays O(n)."""
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    normal = kind == "modified"
+    block = rng.BLOCK_NORMAL_PAIR if normal else rng.BLOCK_PHASE
+    accumulate = accumulate_normal if normal else accumulate_phase
+    out = np.zeros((n, coef_a.shape[1]))
+    for k in range(len(coef_a)):
+        gen = rng.mode_stream(seed, k)
+        rng.skip_uniforms(gen, start * block)
+        for lo in range(0, n, chunk):
+            m = min(chunk, n - lo)
+            uni = gen.random((m, 2) if normal else m)
+            accumulate(out[lo:lo + m], uni, coef_a[k], coef_b[k])
     return out
-
-
-@njit(cache=True)
-def normal_amps_jit(uniforms, a, b):
-    n = uniforms.shape[0]
-    out = np.empty(n)
-    for j in range(n):
-        r = np.sqrt(-2.0 * np.log1p(-uniforms[j, 0]))
-        ang = TWO_PI * uniforms[j, 1]
-        out[j] = a * (r * np.cos(ang)) + b * (r * np.sin(ang))
-    return out
-
-
-@njit(cache=True)
-def accumulate_phase_jit(out, uniforms, coef_a, coef_b):
-    n = uniforms.shape[0]
-    for j in range(n):
-        theta = TWO_PI * uniforms[j]
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        out[j, 0] += ct * coef_a[0] + st * coef_b[0]
-        out[j, 1] += ct * coef_a[1] + st * coef_b[1]
-        out[j, 2] += ct * coef_a[2] + st * coef_b[2]
-
-
-@njit(cache=True)
-def accumulate_normal_jit(out, uniforms, coef_a, coef_b):
-    n = uniforms.shape[0]
-    for j in range(n):
-        r = np.sqrt(-2.0 * np.log1p(-uniforms[j, 0]))
-        ang = TWO_PI * uniforms[j, 1]
-        u = r * np.cos(ang)
-        v = r * np.sin(ang)
-        out[j, 0] += u * coef_a[0] + v * coef_b[0]
-        out[j, 1] += u * coef_a[1] + v * coef_b[1]
-        out[j, 2] += u * coef_a[2] + v * coef_b[2]
-
-
-# ------------------------------------------------------------------ dispatch
-
-if USE_NUMBA:
-    phase_amps = phase_amps_jit
-    normal_amps = normal_amps_jit
-    accumulate_phase = accumulate_phase_jit
-    accumulate_normal = accumulate_normal_jit
-else:
-    phase_amps = phase_amps_np
-    normal_amps = normal_amps_np
-    accumulate_phase = accumulate_phase_np
-    accumulate_normal = accumulate_normal_np
-
-
-def warmup():
-    """Trigger JIT compilation (no-op on the numpy path)."""
-    u1 = np.array([0.25, 0.5])
-    u2 = np.array([[0.25, 0.5], [0.125, 0.75]])
-    c = np.zeros(3)
-    out = np.zeros((2, 3))
-    phase_amps(u1, 1.0, 0.0)
-    normal_amps(u2, 1.0, 0.0)
-    accumulate_phase(out, u1, c, c)
-    accumulate_normal(out, u2, c, c)

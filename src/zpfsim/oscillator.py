@@ -28,6 +28,7 @@ import numpy as np
 
 from . import kernels, rng
 from .constants import PhysicalConstants
+from .dists import _gaussian_cf
 from .fields import FieldKind, FieldRealization, SampleSet, _as_kind, _check_match
 from .lattice import ModeGrid, polarization_basis
 
@@ -109,24 +110,7 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
     if kind is FieldKind.BOYER:
         coef_u = np.sqrt(2.0) * coef_u
         coef_v = np.sqrt(2.0) * coef_v
-        block = rng.BLOCK_PHASE
-    else:
-        block = rng.BLOCK_NORMAL_PAIR
-    out = np.zeros((n, 3))
-    for i in range(len(grid)):
-        gen = rng.mode_stream(seed, i)
-        rng.skip_uniforms(gen, start * block)
-        ca = np.ascontiguousarray(coef_u[i])
-        cb = np.ascontiguousarray(coef_v[i])
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            if kind is FieldKind.BOYER:
-                kernels.accumulate_phase(out[done:done + m], gen.random(m), ca, cb)
-            else:
-                kernels.accumulate_normal(out[done:done + m],
-                                          gen.random(2 * m).reshape(m, 2), ca, cb)
-            done += m
+    out = kernels.mode_sum(kind, coef_u, coef_v, n, seed, start, chunk)
     meta = {
         "kind": kind.value, "grid": grid.fingerprint, "t": float(t),
         "seed": seed, "start": start, "count": n,
@@ -150,10 +134,7 @@ def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
     """Exact product generating function of the coordinate on a finite grid:
     exp(-(s^2/2) sum_k (shat.eps_k)^2 sigma_k^2 |h(w_k)|^2). Holds for any
     mode geometry, sparse or dense."""
-    var = coordinate_axis_variance(grid, p, s_direction)
-    s_in = np.asarray(s, dtype=float)
-    out = np.exp(-(s_in**2) * var / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _gaussian_cf(s, coordinate_axis_variance(grid, p, s_direction))
 
 
 @dataclass(frozen=True)

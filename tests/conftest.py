@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from zpfsim import build_grid, kernels
+from zpfsim import build_grid
 from zpfsim.constants import PhysicalConstants
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not pollute runtime-budgeted tests
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are fixed here, not calibrated; runtime budgets are
-checked where stated (kernels are warmed once by the session fixture so
-JIT compilation is not billed to any criterion).
+checked where stated.
 """
 
 import time

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,21 @@ class TestValidation:
         rc = main(["sample-mode", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "hbar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"seed": 1, "t": 1e400}', "'t'"),
+        ('{"seed": 1, "r": [1e400, 0, 0]}', "'r'"),
+        ('{"seed": 1, "r": [1, 2]}', "'r'"),
+    ], ids=["t_inf", "r_inf", "r_short"])
+    def test_malformed_evaluation_point(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sample-mode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSampleMode:

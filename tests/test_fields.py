@@ -221,6 +221,11 @@ class TestSampleFieldBatch:
                                chunk=4).values
         assert np.array_equal(a, b)
 
+    def test_chunk_must_be_positive(self, small_grid):
+        for chunk in (0, -3):
+            with pytest.raises(ValueError, match="chunk"):
+                sample_field_batch("modified", small_grid, ORIGIN, 0.0, 5, 79, chunk=chunk)
+
     def test_modified_component_gaussian_any_size(self, small_grid):
         # exact Gaussianity holds even for the smallest grids
         for grid in (single_mode_grid(), small_grid):

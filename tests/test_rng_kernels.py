@@ -1,11 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from zpfsim import kernels, rng
+from zpfsim import rng
 
 
 class TestStreams:
@@ -56,68 +52,3 @@ class TestBoxMuller:
             assert abs(np.var(x) - 1.0) < 0.02
         # independence
         assert abs(np.mean(u * v)) < 5 / np.sqrt(u.size)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestKernelPaths:
-    def setup_method(self):
-        gen = rng.mode_stream(1, 0)
-        self.uni1 = gen.random(5000)
-        self.uni2 = gen.random((5000, 2))
-        self.coef_a = np.array([0.3, -0.2, 0.9])
-        self.coef_b = np.array([-0.5, 0.1, 0.4])
-
-    def test_phase_amps_agree(self):
-        a = kernels.phase_amps_np(self.uni1, 0.7, -0.3)
-        b = kernels.phase_amps_jit(self.uni1, 0.7, -0.3)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-    def test_normal_amps_agree(self):
-        a = kernels.normal_amps_np(self.uni2, 0.7, -0.3)
-        b = kernels.normal_amps_jit(self.uni2, 0.7, -0.3)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-14)
-
-    def test_accumulators_agree(self):
-        out_np = np.zeros((5000, 3))
-        out_jit = np.zeros((5000, 3))
-        kernels.accumulate_phase_np(out_np, self.uni1, self.coef_a, self.coef_b)
-        kernels.accumulate_phase_jit(out_jit, self.uni1, self.coef_a, self.coef_b)
-        assert np.allclose(out_np, out_jit, rtol=1e-13, atol=1e-15)
-        out_np[:] = 0.0
-        out_jit[:] = 0.0
-        kernels.accumulate_normal_np(out_np, self.uni2, self.coef_a, self.coef_b)
-        kernels.accumulate_normal_jit(out_jit, self.uni2, self.coef_a, self.coef_b)
-        assert np.allclose(out_np, out_jit, rtol=1e-13, atol=1e-14)
-
-
-def test_env_flag_selects_numpy_path():
-    # The child inherits the parent's environment (PYTHONPATH included), so
-    # it imports the same source tree whether or not the package is
-    # installed; it prints its module file to prove which copy it used.
-    code = (
-        "import zpfsim.kernels as k; "
-        "assert not k.USE_NUMBA; "
-        "assert k.phase_amps is k.phase_amps_np; "
-        "print('numpy path'); "
-        "print(k.__file__)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True,
-        env={**os.environ, "ZPFSIM_NO_NUMBA": "1"},
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert "numpy path" in lines
-    assert os.path.samefile(lines[-1], kernels.__file__)
-
-
-def test_dispatch_honors_environment():
-    import os
-    disabled = os.environ.get("ZPFSIM_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-    if kernels.HAVE_NUMBA and not disabled:
-        assert kernels.USE_NUMBA
-        assert kernels.phase_amps is kernels.phase_amps_jit
-    else:
-        assert not kernels.USE_NUMBA
-        assert kernels.phase_amps is kernels.phase_amps_np
