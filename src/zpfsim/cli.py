@@ -17,6 +17,7 @@ convergence error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 from datetime import datetime, timezone
@@ -37,10 +38,17 @@ from .dists import (
     quantum_oscillator_pdf,
     total_field_sigma,
 )
-from .lattice import ModeGrid, build_grid, grid_from_kvectors
+from .lattice import ModeGrid, build_grid, grid_from_kvectors, unit_vector
 from .oscillator import ConvergenceError, OscillatorParams
 
 SQRT2 = float(np.sqrt(2.0))
+
+# every top-level config key some subcommand reads; any other key is a typo
+CONFIG_KEYS = (
+    "command", "seed", "out", "kind", "samples", "constants", "r", "t", "grid",
+    "mode_index", "component", "bins", "oscillator", "shells", "quadrature",
+    "level", "alpha", "amplitude", "points", "direction", "s_points", "density_factors",
+)
 
 
 class ConfigError(ValueError):
@@ -76,6 +84,11 @@ def load_config(args, command: str) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        for key in cfg:
+            if key not in CONFIG_KEYS:
+                hint = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+                raise ConfigError(f"unknown config field {key!r}"
+                                  + (f" (did you mean {hint[0]!r}?)" if hint else ""))
     # flag overrides
     for name in ("seed", "out", "kind", "samples"):
         value = getattr(args, name, None)
@@ -125,6 +138,17 @@ def _constants(cfg) -> PhysicalConstants:
         return PhysicalConstants.from_dict(cfg["constants"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'constants' is invalid: {exc}") from exc
+
+
+def _direction(cfg, key: str, default) -> np.ndarray:
+    """The config's direction field as given, after checking that it can
+    be normalized."""
+    value = cfg.setdefault(key, default)
+    try:
+        unit_vector(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r} is invalid: {exc}") from exc
+    return np.asarray(value, dtype=float)
 
 
 def _grid(cfg, constants) -> ModeGrid:
@@ -203,8 +227,7 @@ def cmd_sample_mode(cfg, as_json: bool) -> int:
 def cmd_total_field(cfg, as_json: bool) -> int:
     constants = _constants(cfg)
     grid = _grid(cfg, constants)
-    component = np.asarray(cfg.setdefault("component", [1.0, 0.0, 0.0]), dtype=float)
-    component = component / np.linalg.norm(component)
+    component = unit_vector(_direction(cfg, "component", [1.0, 0.0, 0.0]))
     bins = int(cfg.setdefault("bins", 60))
     out = _outdir(cfg)
     batch = fields.sample_field_batch(
@@ -216,7 +239,7 @@ def cmd_total_field(cfg, as_json: bool) -> int:
     span = 5.0 * sigma_comp
     edges, dens = stats.histogram(values, bins, (-span, span))
     stats.histogram_to_csv(out / "histogram.csv", edges, dens,
-                           meta={"kind": cfg["kind"], "component": list(component)})
+                           meta={"kind": cfg["kind"], "component": component.tolist()})
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid),
         "sigma_component": sigma_comp,
@@ -311,8 +334,8 @@ def cmd_figure1(cfg, as_json: bool) -> int:
 
 def cmd_generating(cfg, as_json: bool) -> int:
     constants = _constants(cfg)
+    direction = _direction(cfg, "direction", [0.0, 0.0, 1.0])
     out = _outdir(cfg)
-    direction = np.asarray(cfg.setdefault("direction", [0.0, 0.0, 1.0]), dtype=float)
     s_points = int(cfg.setdefault("s_points", 101))
 
     spec = cfg.get("grid", {})
@@ -342,7 +365,7 @@ def cmd_generating(cfg, as_json: bool) -> int:
         _write_csv(out / name,
                    {"s": s, "bessel_product": gb, "gaussian_lattice": g_lat,
                     "gaussian_continuum": g_cont, "deviation": dev},
-                   meta={"n_modes": len(grid), "direction": list(direction)})
+                   meta={"n_modes": len(grid), "direction": direction.tolist()})
         files.append(name)
         rows.append({"label": label, "n_modes": len(grid),
                      "max_deviation": float(np.max(dev)),

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import j0, ndtr
 
 from .constants import PhysicalConstants
-from .lattice import ModeGrid
+from .lattice import ModeGrid, unit_vector
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
 _BLOCK_ELEMENTS = 2**20  # size of the largest (rows x s) temporary in a blocked loop
@@ -168,18 +168,24 @@ def gaussian_generating(s, sigma: float):
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function of the random-phase field:
-    prod_k J0(sqrt(2) sigma_k s (shat . eps_k))."""
-    d = np.asarray(s_direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    s_in = np.asarray(s, dtype=float)
-    s = np.atleast_1d(s_in)
-    proj = grid.eps @ d
-    scale = np.sqrt(2.0) * grid.sigma * proj
-    out = np.ones_like(s)
-    block = max(1, _BLOCK_ELEMENTS // max(1, s.size))
-    for lo in range(0, len(grid), block):
-        out *= np.prod(j0(np.outer(s, scale[lo:lo + block])), axis=1)
-    return float(out[0]) if s_in.ndim == 0 else out
+    prod_k J0(sqrt(2) sigma_k s (shat . eps_k)).
+
+    J0 is even, so each factor depends only on |s| and on the amplitude
+    |a_k| = sqrt(2) sigma_k |shat . eps_k|. The product is evaluated once
+    per distinct |s| and once per distinct |a_k|, that factor raised to
+    the number of modes sharing it, in blocks of about 2^20 factors.
+    """
+    proj = grid.eps @ unit_vector(s_direction)
+    amps, mult = np.unique(np.abs(np.sqrt(2.0) * grid.sigma * proj), return_counts=True)
+    s = np.asarray(s, dtype=float)
+    abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
+    out = np.ones_like(abs_s)
+    block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
+    for lo in range(0, amps.size, block):
+        out *= np.prod(j0(np.outer(abs_s, amps[lo:lo + block])) ** mult[lo:lo + block],
+                       axis=1)
+    out = out[inverse].reshape(s.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def lattice_gaussian_generating(s, s_direction, grid: ModeGrid):
@@ -254,7 +260,10 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
     if n_s < 2:
         raise ValueError("n_s must be at least 2")
     x_grid = np.asarray(x_grid, dtype=float)
-    s = np.linspace(-s_max, s_max, n_s)
+    ds = 2.0 * s_max / (n_s - 1)
+    # exactly antisymmetric (np.linspace is not), so an even gf sees each
+    # |s| twice and can evaluate it once
+    s = (np.arange(n_s) - (n_s - 1) / 2) * ds
     g = np.asarray(gf(s), dtype=complex)
     edge = max(abs(g[0]), abs(g[-1]))
     if edge > decay_tol:
@@ -262,7 +271,7 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
             f"insufficient s-range: |g| = {edge:.3g} at s = +-{s_max:g} "
             f"exceeds decay tolerance {decay_tol:g}"
         )
-    wg = g * (2.0 * s_max / (n_s - 1))  # trapezoid weights: ds, ds/2 at both ends
+    wg = g * ds  # trapezoid weights: ds, ds/2 at both ends
     wg[[0, -1]] *= 0.5
     if _is_uniform(x_grid):
         dx = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)

@@ -29,6 +29,16 @@ class EmptyGridError(ValueError):
     """Raised when no lattice mode satisfies the frequency cutoff."""
 
 
+def unit_vector(direction) -> np.ndarray:
+    """direction / |direction| for three finite components, not all zero."""
+    d = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(
+            f"direction must be three finite numbers, not all zero, got {d.tolist()}")
+    return d / norm
+
+
 def mode_sigma(omega, volume, constants: PhysicalConstants):
     """Per-mode field scale sqrt(hbar*omega / (2*eps0*V))."""
     omega = np.asarray(omega, dtype=float)
@@ -156,9 +166,7 @@ class ModeGrid:
     def component_variance(self, direction) -> float:
         """Total-field variance of one Cartesian/arbitrary component:
         sum_k (d . eps_k)^2 sigma_k^2 for a unit direction d."""
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        proj = self.eps @ d
+        proj = self.eps @ unit_vector(direction)
         return float(np.sum((proj * self.sigma) ** 2))
 
     def to_json(self) -> str:

@@ -30,7 +30,7 @@ from . import kernels, rng
 from .constants import PhysicalConstants
 from .dists import _gaussian_cf
 from .fields import FieldKind, FieldRealization, SampleSet, _as_kind, _check_match
-from .lattice import ModeGrid, polarization_basis
+from .lattice import ModeGrid, polarization_basis, unit_vector
 
 RESONANCE_WARN = 1e-2
 
@@ -123,9 +123,7 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
 def coordinate_axis_variance(grid: ModeGrid, p: OscillatorParams, direction) -> float:
     """Exact per-grid variance of the coordinate along a unit direction:
     sum_k (d.eps_k)^2 sigma_k^2 |h(w_k)|^2."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    proj = grid.eps @ d
+    proj = grid.eps @ unit_vector(direction)
     h = transfer(grid.omega, p)
     return float(np.sum(proj**2 * grid.sigma**2 * np.abs(h) ** 2))
 

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zpfsim
 from zpfsim.cli import main
 
 
@@ -63,6 +66,31 @@ class TestValidation:
         assert rc == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 5, "sampels": 5}', "'sampels' (did you mean 'samples'?)"),
+        ('{"seed": 5, "shels": {}}', "'shels' (did you mean 'shells'?)"),
+        ('{"seed": 5, "xyzzy": 1}', "unknown config field 'xyzzy'"),
+    ], ids=["samples", "shells", "no_match"])
+    def test_unknown_key(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        rc = main(["sample-mode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["total-field", "--samples", "200"],
+        ["figure1"],
+        ["generating"],
+    ], ids=["total-field", "figure1", "generating"])
+    def test_manifest_keys_reload(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, "--seed", "4", "--out", str(first)]) == 0
+        assert main([argv[0], "--config", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        assert read_report(first) == read_report(second)
 
 
 class TestSampleMode:
@@ -131,6 +159,19 @@ class TestTotalField:
         assert report["n_modes"] == 2
         assert not report["ks_gaussian"]["passed"]
 
+    def test_zero_component(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 1, "component": [0, 0, 0]}')
+        rc = main(["total-field", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'component'" in capsys.readouterr().err
+
+    def test_component_metadata_line(self, tmp_path):
+        out = tmp_path / "tf3"
+        assert main(["total-field", "--seed", "1", "--samples", "100",
+                     "--out", str(out)]) == 0
+        assert "# component: [1.0, 0.0, 0.0]" in (out / "histogram.csv").read_text()
+
 
 class TestOscillator:
     def config(self, tmp_path, **overrides):
@@ -158,6 +199,15 @@ class TestOscillator:
         assert all(k["passed"] for k in report["ks_gaussian_per_axis"])
         assert report["bohr_radius_sq_predicted"] == pytest.approx(1.0)
         assert (out / "coordinates.csv").exists()
+
+    def test_manifest_reloads(self, tmp_path):
+        cfg = self.config(tmp_path, samples=200,
+                          shells={"n_shells": 8, "directions": "axes", "coverage": 0.999})
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["oscillator", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["oscillator", "--config", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        assert read_report(first) == read_report(second)
 
     def test_resonance_warning_on_broad_line(self, tmp_path, capsys):
         cfg = self.config(
@@ -226,9 +276,26 @@ class TestGenerating:
         header = next(l for l in first if l and not l.startswith("#")).split(",")
         row0 = first[first.index(",".join(header)) + 1].split(",")
         data = dict(zip(header, (float(v) for v in row0)))
+        assert "# direction: [0.0, 0.0, 1.0]" in first
         assert data["s"] == 0.0
         assert data["bessel_product"] == 1.0
         assert data["gaussian_lattice"] == 1.0
+
+    @pytest.mark.parametrize("direction", ["[0, 0, 0]", "[NaN, 0, 1]", "[1e400, 0, 0]",
+                                           "[1, 0]", "\"z\""],
+                             ids=["zero", "nan", "inf", "short", "string"])
+    def test_bad_direction(self, tmp_path, capsys, direction):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"seed": 1, "direction": {direction}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["generating", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                       "--json"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "'direction'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_single_mode_row_matches_direct_evaluation(self, tmp_path):
         from scipy.special import j0
@@ -254,9 +321,14 @@ class TestGenerating:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package under test, also when pytest alone put
+    # it on the path (pyproject's pythonpath)
+    src = str(Path(zpfsim.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "zpfsim", "figure1", "--seed", "1",
          "--out", str(tmp_path / "m"), "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["interior_zeros"] == 12

@@ -248,6 +248,73 @@ class TestGeneratingFunctions:
             assert 3.0 < ratio < 7.0
 
 
+def per_mode_product(s, direction, grid):
+    """Reference Bessel product: one J0 factor per mode and per s."""
+    from scipy.special import j0
+    d = np.asarray(direction, dtype=float)
+    scale = np.sqrt(2.0) * grid.sigma * (grid.eps @ (d / np.linalg.norm(d)))
+    return np.prod(j0(np.outer(s, scale)), axis=1)
+
+
+class TestGroupedBesselProduct:
+    @pytest.mark.parametrize("box_side, cutoff", [
+        (4 * np.pi, 1.5), (4 * np.pi * 4 ** (1 / 3), 1.5), (4 * np.pi * 16 ** (1 / 3), 1.5),
+        (2 * np.pi, 2.5),
+    ], ids=["sweep244", "sweep920", "sweep3676", "lattice160"])
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                           (0.3, -0.5, 0.8), (-0.71, 0.12, 0.33)],
+                             ids=["z", "x", "random1", "random2"])
+    def test_matches_per_mode_product(self, box_side, cutoff, direction):
+        grid = build_grid(box_side, cutoff, CONSTS)
+        sd = np.sqrt(grid.component_variance(direction))
+        s = np.linspace(-10.0 / sd, 10.0 / sd, 401)
+        dev = boyer_generating(s, direction, grid) - per_mode_product(s, direction, grid)
+        assert np.max(np.abs(dev)) < 1e-13
+
+    def test_even_bitwise(self, medium_grid):
+        s = np.linspace(0.0, 40.0, 257)
+        d = (0.3, -0.5, 0.8)
+        assert np.array_equal(boyer_generating(s, d, medium_grid),
+                              boyer_generating(-s, d, medium_grid))
+
+    def test_scalar_unsorted_and_repeated_s(self, medium_grid):
+        d = (0.3, -0.5, 0.8)
+        s = np.linspace(-30.0, 30.0, 121)
+        ref = boyer_generating(s, d, medium_grid)
+        perm = np.random.default_rng(3).permutation(s.size)
+        assert np.array_equal(boyer_generating(s[perm], d, medium_grid), ref[perm])
+        rep = np.array([5, 5, 0, 120, 5, 60, 60])
+        assert np.array_equal(boyer_generating(s[rep], d, medium_grid), ref[rep])
+        grid2d = boyer_generating(s[rep].reshape(1, -1), d, medium_grid)
+        assert grid2d.shape == (1, rep.size) and np.array_equal(grid2d[0], ref[rep])
+        for i in (0, 37, 60):
+            value = boyer_generating(s[i], d, medium_grid)
+            assert isinstance(value, float)
+            assert value == pytest.approx(ref[i], rel=1e-15, abs=1e-15)
+
+    def test_orthogonal_modes_contribute_one(self):
+        # along z, both polarizations of k = z and eps1 = y of k = x are
+        # orthogonal to shat; only eps2 = z of k = x enters
+        both = grid_from_kvectors([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], volume=0.5,
+                                  constants=CONSTS)
+        only_x = grid_from_kvectors([[1.0, 0.0, 0.0]], volume=0.5, constants=CONSTS,
+                                    polarizations=(2,))
+        s = np.linspace(-5.0, 5.0, 41)
+        assert np.array_equal(boyer_generating(s, (0, 0, 1), both),
+                              boyer_generating(s, (0, 0, 1), only_x))
+        flat = grid_from_kvectors([[0.0, 0.0, 1.0]], volume=0.5, constants=CONSTS)
+        assert np.all(boyer_generating(s, (0, 0, 1), flat) == 1.0)
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0),
+                                           (np.inf, 0.0, 0.0), (1.0, 0.0)],
+                             ids=["zero", "nan", "inf", "short"])
+    def test_bad_direction(self, small_grid, direction):
+        with pytest.raises(ValueError, match="direction"):
+            boyer_generating(1.0, direction, small_grid)
+        with pytest.raises(ValueError, match="direction"):
+            small_grid.component_variance(direction)
+
+
 def single_mode_arcsine(n_x):
     """One-mode Bessel product, its arcsine amplitude, and n_x points
     inside the support with 5% of it cut at each end."""
@@ -269,6 +336,22 @@ class TestInversion:
         x = np.linspace(-5, 5, 501)
         pdf = invert_characteristic(GaussianGF(0.7), x, s_max=12.0)
         assert np.allclose(pdf, pdf[::-1], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("n_s", [8193, 8192, 3])
+    def test_s_grid_antisymmetric(self, n_s):
+        seen = []
+
+        def gf(s):
+            seen.append(s.copy())
+            return gaussian_generating(s, 1.0)
+
+        s_max = 10.0 / 1.17  # np.linspace(-s_max, s_max, n_s) is not antisymmetric here
+        invert_characteristic(gf, np.linspace(-6, 6, 101), s_max=s_max, n_s=n_s,
+                              decay_tol=1.0)
+        s = seen[0]
+        assert s.size == n_s
+        assert np.array_equal(s, -s[::-1])
+        assert s[-1] == pytest.approx(s_max, rel=1e-15)
 
     def test_flat_gf_insufficient_range(self):
         with pytest.raises(InsufficientRangeError, match="insufficient s-range"):

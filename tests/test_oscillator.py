@@ -185,6 +185,10 @@ class TestGeneratingFunction:
     def test_unit_at_zero(self):
         assert oscillator_generating(0.0, [0, 0, 1], sparse_grid(), BROAD) == 1.0
 
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            oscillator_generating(1.0, [0, 0, 0], sparse_grid(), BROAD)
+
     def test_single_mode_factor(self):
         grid = grid_from_kvectors([[0.0, 0.0, 0.8]], volume=1.0, constants=CONSTS,
                                   polarizations=(1,))
