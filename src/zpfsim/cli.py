@@ -20,7 +20,6 @@ import argparse
 import difflib
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -53,21 +52,6 @@ CONFIG_KEYS = (
 
 class ConfigError(ValueError):
     pass
-
-
-def _write_csv(path, columns: dict, meta: dict | None = None):
-    """Columns of floats -> CSV with # metadata comments and a timestamp."""
-    path = Path(path)
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    with path.open("w") as fh:
-        fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}: {(meta or {})[key]}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-    return path
 
 
 # ------------------------------------------------------------ configuration
@@ -109,13 +93,8 @@ def load_config(args, command: str) -> dict:
     cfg.setdefault("kind", "modified")
     if cfg["kind"] not in ("boyer", "modified"):
         raise ConfigError(f"field 'kind' must be 'boyer' or 'modified', got {cfg['kind']!r}")
-    cfg.setdefault("samples", 10000)
-    try:
-        cfg["samples"] = int(cfg["samples"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"field 'samples' must be an integer, got {cfg['samples']!r}")
-    if cfg["samples"] < 1:
-        raise ConfigError("field 'samples' must be >= 1")
+    # every sampling subcommand runs a KS test, which needs 10 samples
+    _count(cfg, "samples", 10000, minimum=10)
     cfg.setdefault("constants", PhysicalConstants().to_dict())
     cfg.setdefault("r", [0.0, 0.0, 0.0])
     cfg.setdefault("t", 0.0)
@@ -125,6 +104,18 @@ def load_config(args, command: str) -> dict:
     if not (isinstance(r, (list, tuple)) and len(r) == 3 and all(map(_finite_real, r))):
         raise ConfigError(f"field 'r' must be three finite real numbers, got {r!r}")
     return cfg
+
+
+def _count(cfg, key: str, default: int, minimum: int) -> int:
+    """The config's integer field, stored back as an int, at least minimum."""
+    value = cfg.setdefault(key, default)
+    try:
+        cfg[key] = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {key!r} must be an integer, got {value!r}") from None
+    if cfg[key] < minimum:
+        raise ConfigError(f"field {key!r} must be >= {minimum}, got {cfg[key]}")
+    return cfg[key]
 
 
 def _finite_real(value) -> bool:
@@ -238,8 +229,9 @@ def cmd_total_field(cfg, as_json: bool) -> int:
     ks = stats.ks_test(values, GaussianMode(sigma_comp).cdf, alpha=0.01)
     span = 5.0 * sigma_comp
     edges, dens = stats.histogram(values, bins, (-span, span))
-    stats.histogram_to_csv(out / "histogram.csv", edges, dens,
-                           meta={"kind": cfg["kind"], "component": component.tolist()})
+    stats.write_csv(out / "histogram.csv", "histogram", ("bin_left", "bin_right", "density"),
+                    np.column_stack([edges[:-1], edges[1:], dens]),
+                    {"kind": cfg["kind"], "component": component.tolist()})
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid),
         "sigma_component": sigma_comp,
@@ -310,16 +302,16 @@ def cmd_figure1(cfg, as_json: bool) -> int:
     out = _outdir(cfg)
 
     x_cl = np.linspace(-1.2 * amplitude, 1.2 * amplitude, points)
-    _write_csv(out / "classical_pdf.csv",
-               {"x": x_cl, "pdf": classical_oscillator_pdf(x_cl, amplitude)},
-               meta={"amplitude": amplitude})
-    pdf_n = quantum_oscillator_pdf(level, x_cl, alpha)
-    _write_csv(out / f"quantum_pdf_n{level}.csv", {"x": x_cl, "pdf": pdf_n},
-               meta={"level": level, "alpha": alpha})
+    stats.write_csv(out / "classical_pdf.csv", "classical oscillator pdf", ("x", "pdf"),
+                    np.column_stack([x_cl, classical_oscillator_pdf(x_cl, amplitude)]),
+                    {"amplitude": amplitude})
+    stats.write_csv(out / f"quantum_pdf_n{level}.csv", "quantum oscillator pdf", ("x", "pdf"),
+                    np.column_stack([x_cl, quantum_oscillator_pdf(level, x_cl, alpha)]),
+                    {"level": level, "alpha": alpha})
     x_g = np.linspace(-4.0, 4.0, points)
-    _write_csv(out / "ground_state_pdf.csv",
-               {"x": x_g, "pdf": quantum_oscillator_pdf(0, x_g, 1.0)},
-               meta={"alpha": 1.0})
+    stats.write_csv(out / "ground_state_pdf.csv", "quantum oscillator pdf", ("x", "pdf"),
+                    np.column_stack([x_g, quantum_oscillator_pdf(0, x_g, 1.0)]),
+                    {"alpha": 1.0})
 
     wave = hermite_function(level, alpha * x_cl)
     zeros = int(np.sum(np.sign(wave[1:]) * np.sign(wave[:-1]) < 0))
@@ -335,8 +327,8 @@ def cmd_figure1(cfg, as_json: bool) -> int:
 def cmd_generating(cfg, as_json: bool) -> int:
     constants = _constants(cfg)
     direction = _direction(cfg, "direction", [0.0, 0.0, 1.0])
+    s_points = _count(cfg, "s_points", 101, minimum=1)
     out = _outdir(cfg)
-    s_points = int(cfg.setdefault("s_points", 101))
 
     spec = cfg.get("grid", {})
     if "kvectors" in spec:
@@ -362,10 +354,11 @@ def cmd_generating(cfg, as_json: bool) -> int:
         g_cont = gaussian_generating(s, sigma_e)
         dev = np.abs(gb - g_lat)
         name = f"generating_{label}.csv"
-        _write_csv(out / name,
-                   {"s": s, "bessel_product": gb, "gaussian_lattice": g_lat,
-                    "gaussian_continuum": g_cont, "deviation": dev},
-                   meta={"n_modes": len(grid), "direction": direction.tolist()})
+        stats.write_csv(out / name, "generating function",
+                        ("s", "bessel_product", "gaussian_lattice", "gaussian_continuum",
+                         "deviation"),
+                        np.column_stack([s, gb, g_lat, g_cont, dev]),
+                        {"n_modes": len(grid), "direction": direction.tolist()})
         files.append(name)
         rows.append({"label": label, "n_modes": len(grid),
                      "max_deviation": float(np.max(dev)),

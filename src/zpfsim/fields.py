@@ -22,15 +22,12 @@ mode's variables without generating the rest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from . import kernels, rng
+from . import kernels, rng, stats
 from .lattice import ModeGrid
 
 SQRT2 = np.sqrt(2.0)
@@ -156,33 +153,9 @@ class SampleSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def _meta_lines(self):
-        for key in sorted(self.meta):
-            yield f"# {key}: {self.meta[key]}"
-
     def to_csv(self, path):
-        path = Path(path)
-        vec = self.values.ndim == 2
-        with path.open("w") as fh:
-            fh.write("# zpfsim sample set\n")
-            fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
-            for line in self._meta_lines():
-                fh.write(line + "\n")
-            fh.write("x,y,z\n" if vec else "value\n")
-            fmt = "%.17g"
-            if vec:
-                for row in self.values:
-                    fh.write(",".join(fmt % x for x in row) + "\n")
-            else:
-                for x in self.values:
-                    fh.write(fmt % x + "\n")
-        return path
-
-    def to_json(self, path):
-        path = Path(path)
-        payload = {"meta": dict(self.meta), "values": self.values.tolist()}
-        path.write_text(json.dumps(payload))
-        return path
+        names = ("x", "y", "z") if self.values.ndim == 2 else ("value",)
+        return stats.write_csv(path, "sample set", names, self.values, self.meta)
 
 
 def _mode_coefficients(kind: FieldKind, sigma, phi):
@@ -222,7 +195,7 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
     values += y
     meta = {
         "kind": kind.value, "grid": grid.fingerprint, "mode_index": mode_index,
-        "r": list(np.asarray(r, dtype=float)), "t": float(t),
+        "r": np.asarray(r, dtype=float).tolist(), "t": float(t),
         "seed": seed, "start": start, "count": n,
     }
     return SampleSet(values=values, meta=meta)
@@ -245,7 +218,7 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
                            n, seed, start, chunk)
     meta = {
         "kind": kind.value, "grid": grid.fingerprint,
-        "r": list(np.asarray(r, dtype=float)), "t": float(t),
+        "r": np.asarray(r, dtype=float).tolist(), "t": float(t),
         "seed": seed, "start": start, "count": n,
     }
     return SampleSet(values=out, meta=meta)

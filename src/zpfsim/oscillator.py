@@ -293,8 +293,10 @@ def resonance_shell_grid(p: OscillatorParams, constants: PhysicalConstants,
     omega_s = p.nu0 + half_width * np.tan(np.pi * (f_mid - 0.5))
     if np.any(omega_s <= 0.0):
         raise ValueError(
-            "shell quantiles reach non-positive frequencies; reduce coverage "
-            "or use a narrower-line oscillator")
+            f"shell quantiles reach non-positive frequencies at Gamma*nu0 = "
+            f"{p.resonance_parameter:.3g}: lower the coverage ('shells.coverage') or "
+            f"narrow the line with a smaller charge ('constants.electron_charge'; "
+            f"0.01 with the other constants at 1 gives Gamma*nu0 = 5.3e-6)")
     # importance weight: cell mass over the local Lorentzian density
     lorentz = (half_width / np.pi) / ((omega_s - p.nu0) ** 2 + half_width**2)
     cell_width = df / lorentz

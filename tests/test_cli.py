@@ -39,10 +39,13 @@ class TestValidation:
         assert rc == 1
 
     def test_invalid_samples(self, tmp_path, capsys):
-        rc = main(["sample-mode", "--seed", "1", "--samples", "0",
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        assert "samples" in capsys.readouterr().err
+        # 5 is too few for the KS test that every sampling subcommand runs
+        for samples in ("0", "5"):
+            rc = main(["sample-mode", "--seed", "1", "--samples", samples,
+                       "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert "'samples'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_non_finite_constant(self, tmp_path, capsys):
         # json reads 1e400 as inf, which is > 0 but not a usable constant
@@ -115,13 +118,6 @@ class TestSampleMode:
         report = read_report(out)
         assert report["ks_arcsine"]["passed"]
         assert not report["ks_gaussian"]["passed"]
-
-    def test_rerun_byte_identical_modulo_timestamp(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main(["sample-mode", "--seed", "3", "--samples", "500",
-                         "--out", str(out)]) == 0
-        assert strip_timestamps(a / "samples.csv") == strip_timestamps(b / "samples.csv")
 
     def test_manifest_reingests_to_same_run(self, tmp_path):
         first = tmp_path / "first"
@@ -221,6 +217,15 @@ class TestOscillator:
         assert rc == 0
         assert "resonance" in capsys.readouterr().err
 
+    def test_default_constants_name_the_fix(self, tmp_path, capsys):
+        # unit constants give Gamma*nu0 = 0.053, too broad for the shell grid
+        rc = main(["oscillator", "--seed", "3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        for text in ("Gamma*nu0 = 0.0531", "'constants.electron_charge'", "'shells.coverage'"):
+            assert text in err
+        assert not (tmp_path / "o").exists()
+
     def test_convergence_failure_exit_2(self, tmp_path, capsys):
         cfg = self.config(
             tmp_path, samples=100,
@@ -297,6 +302,15 @@ class TestGenerating:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("s_points", ["0", "-3", "\"many\""])
+    def test_bad_s_points(self, tmp_path, capsys, s_points):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"seed": 1, "s_points": {s_points}}}')
+        rc = main(["generating", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'s_points'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_single_mode_row_matches_direct_evaluation(self, tmp_path):
         from scipy.special import j0
         volume = 2.0
@@ -318,6 +332,33 @@ class TestGenerating:
             expected = abs(j0(np.sqrt(2) * sigma * data["s"])
                            - np.exp(-(sigma * data["s"]) ** 2 / 2))
             assert data["deviation"] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-mode", "--samples", "500"],
+    ["total-field", "--samples", "200"],
+    ["oscillator", "--samples", "200", "--config", "osc.json"],
+    ["figure1"],
+    ["generating"],
+], ids=lambda argv: argv[0])
+def test_csv_files_contract(tmp_path, argv):
+    """Every CSV a subcommand writes starts '# zpfsim ', has its one
+    timestamp line second, and reruns byte-identical apart from it."""
+    (tmp_path / "osc.json").write_text(json.dumps({
+        "constants": {"hbar": 1.0, "eps0": 1.0, "c": 1.0,
+                      "electron_mass": 1.0, "electron_charge": 0.01},
+        "shells": {"n_shells": 8, "directions": "axes", "coverage": 0.999}}))
+    argv = [str(tmp_path / a) if a == "osc.json" else a for a in argv]
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+    names = read_report(a)["files"]
+    assert names and all(name.endswith(".csv") for name in names)
+    for name in names:
+        lines = (a / name).read_text().splitlines()
+        assert lines[0].startswith("# zpfsim ")
+        assert [i for i, line in enumerate(lines) if line.startswith("# generated:")] == [1]
+        assert strip_timestamps(a / name) == strip_timestamps(b / name)
 
 
 def test_module_entry_point(tmp_path):

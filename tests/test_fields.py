@@ -260,6 +260,7 @@ class TestSampleSet:
         assert rows[0] == "value"
         parsed = np.array([float(v) for v in rows[1:]])
         assert np.array_equal(parsed, batch.values)
+        assert "# r: [0.0, 0.0, 0.0]\n" in path.read_text()
 
     def test_vector_csv(self, small_grid, tmp_path):
         batch = sample_field_batch("modified", small_grid, ORIGIN, 0.0, 10, 12)
@@ -269,14 +270,7 @@ class TestSampleSet:
         assert rows[0] == "x,y,z"
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         assert np.array_equal(parsed, batch.values)
-
-    def test_json_export(self, small_grid, tmp_path):
-        import json
-        batch = sample_mode_batch("boyer", small_grid, 1, ORIGIN, 0.0, 5, 13)
-        payload = json.loads(batch.to_json(tmp_path / "s.json").read_text())
-        assert payload["meta"]["count"] == 5
-        assert payload["meta"]["seed"] == 13
-        assert len(payload["values"]) == 5
+        assert "# r: [0.0, 0.0, 0.0]\n" in path.read_text()
 
     def test_count_invariant(self):
         with pytest.raises(ValueError, match="count"):

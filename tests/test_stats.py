@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zpfsim import GaussianMode, arcsine_cdf, ks_critical, ks_test, moments
-from zpfsim.stats import empirical_generating, histogram
+from zpfsim.stats import CSV_BLOCK_ROWS, empirical_generating, histogram, write_csv
 
 
 def normal_samples(n, seed):
@@ -136,3 +136,39 @@ class TestEmpiricalGenerating:
         expected = np.exp(-(s**2) / 2)
         assert np.all(np.abs(g.real - expected) < 4 * se)
         assert np.all(np.abs(g.imag) < 4 / np.sqrt(x.size))
+
+
+class TestWriteCsv:
+    EDGE_VALUES = [-0.0, 5e-324, 1e308, -1.5e-300, 0.1, 1.0 / 3.0]
+
+    def reference_body(self, rows):
+        # one %.17g per value, one row at a time
+        return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    def read(self, path):
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        return lines[:header + 1], "".join(lines[header + 1:])
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_body_matches_per_row_format(self, tmp_path, columns):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(50)))
+        n = CSV_BLOCK_ROWS + 3  # crosses a block boundary
+        values = gen.standard_normal((n, columns)) * 10.0 ** gen.integers(-300, 300, (n, 1))
+        values.ravel()[:len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        names = ["c%d" % i for i in range(columns)]
+        # 1-D input is written as one column
+        rows = values[:, 0] if columns == 1 else values
+        header, body = self.read(write_csv(tmp_path / "t.csv", "test", names, rows,
+                                           {"b": 2, "a": [1.0]}))
+        assert body == self.reference_body(values)
+        assert header[0] == "# zpfsim test\n"
+        assert header[1].startswith("# generated: ")
+        assert header[2:] == ["# a: [1.0]\n", "# b: 2\n", ",".join(names) + "\n"]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_zero_rows(self, tmp_path, shape):
+        header, body = self.read(write_csv(tmp_path / "e.csv", "empty", ["x", "y", "z"],
+                                           np.empty(shape), {}))
+        assert body == ""
+        assert header[-1] == "x,y,z\n"
