@@ -10,6 +10,7 @@ import pytest
 
 import zpfsim
 from zpfsim.cli import main
+from zpfsim.constants import PhysicalConstants
 
 
 def read_report(out_dir):
@@ -70,30 +71,116 @@ class TestValidation:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"seed": 5, "sampels": 5}', "'sampels' (did you mean 'samples'?)"),
-        ('{"seed": 5, "shels": {}}', "'shels' (did you mean 'shells'?)"),
-        ('{"seed": 5, "xyzzy": 1}', "unknown config field 'xyzzy'"),
-    ], ids=["samples", "shells", "no_match"])
-    def test_unknown_key(self, tmp_path, capsys, text, message):
+    @pytest.mark.parametrize("command, text, message", [
+        ("sample-mode", '{"seed": 5, "sampels": 5}', "'sampels' (did you mean 'samples'?)"),
+        ("oscillator", '{"seed": 5, "shels": {}}', "'shels' (did you mean 'shells'?)"),
+        ("sample-mode", '{"seed": 5, "xyzzy": 1}', "unknown config field 'xyzzy'"),
+        ("oscillator", '{"seed": 5, "shells": {"n_shell": 8}}',
+         "'shells.n_shell' (did you mean 'shells.n_shells'?)"),
+        ("total-field", '{"seed": 5, "mode_index": 3}', "unknown config field 'mode_index'"),
+        ("figure1", '{"seed": 5, "kind": "boyer"}', "unknown config field 'kind'"),
+    ], ids=["samples", "shells", "no_match", "nested", "other_command", "unread"])
+    def test_unknown_key(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
-        rc = main(["sample-mode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, text, field", [
+        ("sample-mode", '{"mode_index": 999}', "'mode_index'"),
+        ("sample-mode", '{"mode_index": -1}', "'mode_index'"),
+        ("sample-mode", '{"mode_index": 1.7}', "'mode_index'"),
+        ("figure1", '{"level": -1}', "'level'"),
+        ("figure1", '{"level": 171}', "'level'"),
+        ("figure1", '{"points": 0}', "'points'"),
+        ("figure1", '{"points": 1}', "'points'"),
+        ("figure1", '{"alpha": 0}', "'alpha'"),
+        ("figure1", '{"alpha": NaN}', "'alpha'"),
+        ("figure1", '{"amplitude": 1e400}', "'amplitude'"),
+        ("figure1", '{"amplitude": -1.0}', "'amplitude'"),
+        ("total-field", '{"bins": 0}', "'bins'"),
+        ("sample-mode", '{"grid": {"box_side": null}}', "'grid.box_side'"),
+        ("sample-mode", '{"grid": {"box_side": "abc"}}', "'grid.box_side'"),
+        ("total-field", '{"grid": null}', "'grid'"),
+        ("total-field", '{"grid": {"kvectors": [[0, 0, 1]]}}', "'grid.volume'"),
+        ("oscillator", '{"quadrature": {"base_panels": 0}}', "'quadrature.base_panels'"),
+        ("oscillator", '{"shells": {"directions": "sphere"}}', "'shells.directions'"),
+        ("oscillator", '{"oscillator": {"nu0": 1.0, "from_constants": false}}',
+         "'oscillator.from_constants'"),
+        ("generating", '{"density_factors": []}', "'density_factors'"),
+        ("generating", '{"density_factors": [-1]}', "'density_factors[0]'"),
+        ("generating", '{"command": "figure1"}', "'command'"),
+        ("sample-mode", '{"seed": "5"}', "'seed'"),
+    ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
+            "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
+            "amplitude_negative", "bins", "box_side_null", "box_side_text", "grid_null",
+            "volume_missing", "base_panels", "directions", "from_constants",
+            "density_empty", "density_negative", "command", "seed_text"])
+    def test_bad_field(self, tmp_path, capsys, command, text, field):
+        """Each bad value exits 1 naming its field, before any output exists."""
+        cfg = json.loads(text)
+        cfg.setdefault("seed", 1)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
-        ["total-field", "--samples", "200"],
-        ["figure1"],
-        ["generating"],
-    ], ids=["total-field", "figure1", "generating"])
-    def test_manifest_keys_reload(self, tmp_path, argv):
+        ["sample-mode", "--seed", "abc"],
+        ["figure1", "--seed", "1", "--samples", "3"],
+        ["generating", "--seed", "1", "--kind", "boyer"],
+        ["total-field", "--seed", "1", "--kind", "weird"],
+    ], ids=["seed_text", "figure1_samples", "generating_kind", "bad_kind"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, keys, nested", [
+        (["sample-mode", "--samples", "200"],
+         {"kind", "samples", "constants", "r", "t", "grid", "mode_index"},
+         {"grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
+        (["total-field", "--samples", "200"],
+         {"kind", "samples", "constants", "r", "t", "grid", "component", "bins"},
+         {"grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
+        (["oscillator", "--samples", "200", "--config", "osc.json"],
+         {"kind", "samples", "constants", "t", "oscillator", "shells", "quadrature"},
+         {"oscillator": {"from_constants": True, "nu0": 1.0},
+          "shells": {"n_shells": 8, "directions": "axes", "coverage": 0.999},
+          "quadrature": {"omega_max": 50.0, "base_panels": 24, "window_scale": 50.0}}),
+        (["figure1"], {"level", "alpha", "amplitude", "points"}, {}),
+        (["generating"], {"constants", "grid", "direction", "s_points", "density_factors"},
+         {"grid": {"box_side": 4.0 * np.pi, "omega_cutoff": 1.5}}),
+    ], ids=["sample-mode", "total-field", "oscillator", "figure1", "generating"])
+    def test_manifest_keys_reload(self, tmp_path, argv, keys, nested):
+        """The manifest holds exactly the subcommand's fields, nested defaults
+        filled in, and reloading it reproduces report.json byte for byte."""
+        (tmp_path / "osc.json").write_text(json.dumps({
+            "constants": {"hbar": 1.0, "eps0": 1.0, "c": 1.0,
+                          "electron_mass": 1.0, "electron_charge": 0.01},
+            "shells": {"n_shells": 8}}))
+        argv = [str(tmp_path / a) if a == "osc.json" else a for a in argv]
         first, second = tmp_path / "first", tmp_path / "second"
         assert main([*argv, "--seed", "4", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert set(manifest) == keys | {"command", "seed", "out"}
+        assert manifest["command"] == argv[0]
+        for key, value in nested.items():
+            assert manifest[key] == value
+        if "constants" in keys and "--config" not in argv:
+            assert manifest["constants"] == PhysicalConstants().to_dict()
         assert main([argv[0], "--config", str(first / "manifest.json"),
                      "--out", str(second)]) == 0
         assert read_report(first) == read_report(second)
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
 
 class TestSampleMode:
@@ -216,6 +303,18 @@ class TestOscillator:
         rc = main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "resonance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("directions, n_dirs", [
+        ("axes", 6), (4, 4), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+    ], ids=["axes", "count", "vectors"])
+    def test_shell_direction_forms(self, tmp_path, directions, n_dirs):
+        cfg = self.config(tmp_path, samples=100,
+                          shells={"n_shells": 4, "directions": directions})
+        out = tmp_path / "o"
+        assert main(["oscillator", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_report(out)["n_modes"] == 4 * n_dirs * 2
+        shells = json.loads((out / "manifest.json").read_text())["shells"]
+        assert shells == {"n_shells": 4, "directions": directions, "coverage": 0.999}
 
     def test_default_constants_name_the_fix(self, tmp_path, capsys):
         # unit constants give Gamma*nu0 = 0.053, too broad for the shell grid
