@@ -16,18 +16,13 @@ from .fields import (
     draw_realization,
     eval_field,
     mode_amplitude,
-    mode_intensity,
     sample_field_batch,
     sample_mode_batch,
 )
 from .lattice import (
     EmptyGridError,
-    Mode,
     ModeGrid,
-    angular_polarization_integral,
-    angular_polarization_mc,
     build_grid,
-    continuum_sum_check,
     grid_from_kvectors,
     mode_sigma,
     polarization_basis,
@@ -35,12 +30,9 @@ from .lattice import (
 from .dists import (
     Arcsine,
     BesselProductGF,
-    ClassicalOscillator,
     GaussianGF,
     GaussianMode,
-    GaussianTotal3D,
     InsufficientRangeError,
-    QuantumOscillator,
     arcsine_cdf,
     boyer_generating,
     classical_oscillator_pdf,
@@ -49,21 +41,17 @@ from .dists import (
     hermite_function,
     invert_characteristic,
     lattice_gaussian_generating,
-    mode_energy,
     quantum_oscillator_pdf,
     total_field_sigma,
-    zero_point_energy_density,
 )
 from .oscillator import (
     ConvergenceError,
     OscillatorParams,
-    OscillatorProductGF,
     bohr_radius_sq,
     coordinate_axis_variance,
     coordinate_ensemble,
     coordinate_sample,
     oscillator_generating,
-    oscillator_pdf,
     predicted_variance,
     resonance_integral,
     resonance_shell_grid,

@@ -149,11 +149,14 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, _i
         quadrature=({}, _object({
             "omega_max": (lambda cfg: 50.0 * cfg["oscillator"]["nu0"], POSITIVE),
             "base_panels": (24, _int(1)), "window_scale": (50.0, POSITIVE)}))),
-    "figure1": dict(level=(12, _int(0)), alpha=(5.0, POSITIVE), amplitude=(1.0, POSITIVE),
+    "figure1": dict(level=(12, _int(0)), alpha=(5.0, POSITIVE),
+                    amplitude=(1.0, _check(lambda v: _number(v) and dists.normal_square(v),
+                                           "a number in about [1.5e-154, 1.3e154], so that "
+                                           "its square is a finite normal double", float)),
                     points=(487, _int(2))),
     "generating": dict(
         constants=SAMPLING["constants"], grid=_grid(4.0 * np.pi, 1.5),
-        direction=([0.0, 0.0, 1.0], DIRECTION), s_points=(101, _int(1)),
+        direction=([0.0, 0.0, 1.0], DIRECTION), s_points=(101, _int(2)),
         density_factors=([1.0, 4.0, 16.0], _list(POSITIVE))),
 }.items()}
 

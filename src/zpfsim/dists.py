@@ -13,6 +13,7 @@ that turns a generating function back into a density.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,21 @@ class InsufficientRangeError(ValueError):
 
 # ------------------------------------------------------------ closed forms
 
+def normal_square(a) -> bool:
+    """a > 0 and a^2 a finite normal double, as 1/sqrt(a^2 - x^2) needs."""
+    a = float(a)
+    return a > 0.0 and sys.float_info.min <= a * a <= sys.float_info.max
+
+
 def classical_oscillator_pdf(x, amplitude: float):
     """Position density 1/(pi*sqrt(A^2 - x^2)) of a fixed-amplitude sinusoid.
 
     The density is unbounded at the endpoints; x = +-A evaluates to inf and
     statistical tests should use the cdf.
     """
-    if not amplitude > 0.0:
-        raise ValueError("amplitude must be strictly positive")
+    if not normal_square(amplitude):
+        raise ValueError(f"amplitude must lie in about [1.5e-154, 1.3e154], so that its "
+                         f"square is a finite normal double, got {amplitude!r}")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) <= amplitude
@@ -110,23 +118,6 @@ def total_field_sigma(omega_cutoff: float, constants: PhysicalConstants) -> floa
         constants.hbar * omega_cutoff**4
         / (24.0 * np.pi**2 * constants.eps0 * constants.c**3)
     ))
-
-
-def zero_point_energy_density(omega, constants: PhysicalConstants):
-    """Spectral energy density hbar*w^3/(2 pi^2 c^3) per unit volume."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0.0):
-        raise ValueError("omega must be non-negative")
-    out = constants.hbar * omega**3 / (2.0 * np.pi**2 * constants.c**3)
-    return float(out) if out.ndim == 0 else out
-
-
-def mode_energy(sigma: float, constants: PhysicalConstants, volume: float) -> float:
-    """Average field energy per mode, eps0*V*sigma^2 (= hbar*w/2 when sigma
-    comes from the periodic-box scale; sigma = 0 is the zero-frequency limit)."""
-    if sigma < 0.0 or not volume > 0.0:
-        raise ValueError("sigma must be non-negative and volume strictly positive")
-    return float(constants.eps0 * volume * sigma**2)
 
 
 def binned_energy_density(grid: ModeGrid, bin_edges):
@@ -314,42 +305,3 @@ class Arcsine:
     def cdf(self, x):
         return arcsine_cdf(x, self.amplitude)
 
-
-ClassicalOscillator = Arcsine
-
-
-@dataclass(frozen=True)
-class GaussianTotal3D:
-    """Isotropic centered normal field vector; sigma_e per component."""
-
-    sigma_e: float
-
-    def pdf(self, e_vec):
-        e_vec = np.asarray(e_vec, dtype=float)
-        sq = np.sum(np.atleast_2d(e_vec) ** 2, axis=-1)
-        out = (2.0 * np.pi * self.sigma_e**2) ** -1.5 * np.exp(-sq / (2.0 * self.sigma_e**2))
-        return float(out[0]) if e_vec.ndim == 1 else out
-
-    def component(self) -> GaussianMode:
-        return GaussianMode(self.sigma_e)
-
-
-@dataclass(frozen=True)
-class QuantumOscillator:
-    n: int
-    alpha: float
-
-    def pdf(self, x):
-        return quantum_oscillator_pdf(self.n, x, self.alpha)
-
-    def cdf(self, x):
-        # dense cumulative trapezoid out to the classical turning point plus
-        # a wide Gaussian tail margin
-        span = (np.sqrt(2.0 * self.n + 1.0) + 8.0) / self.alpha
-        xs = np.linspace(-span, span, 20001)
-        dens = self.pdf(xs)
-        cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(xs) / 2.0)])
-        cum /= cum[-1]
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, cum, left=0.0, right=1.0)
-        return float(out) if out.ndim == 0 else out

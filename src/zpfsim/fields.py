@@ -84,7 +84,7 @@ def draw_realization(kind, grid: ModeGrid, seed: int) -> FieldRealization:
     """
     kind = _as_kind(kind)
     seed = rng.check_seed(seed)
-    streams = rng.mode_streams(seed, len(grid))
+    streams = [rng.mode_stream(seed, i) for i in range(len(grid))]
     if kind is FieldKind.BOYER:
         theta = 2.0 * np.pi * np.array([g.random() for g in streams])
         return FieldRealization(kind, grid.fingerprint, seed, theta=theta)
@@ -124,16 +124,6 @@ def mode_amplitude(real: FieldRealization, grid: ModeGrid, mode_index: int,
         return float(SQRT2 * sigma * np.cos(phi + real.theta[mode_index]))
     w = real.w[mode_index]
     return float(sigma * (w.real * np.cos(phi) - w.imag * np.sin(phi)))
-
-
-def mode_intensity(real: FieldRealization, mode_index: int) -> float:
-    """I_k = |w_k|^2 / 2; exponentially distributed with unit mean."""
-    if real.kind is not FieldKind.MODIFIED:
-        raise ValueError("intensity defined only for Modified field realizations")
-    if not 0 <= mode_index < len(real):
-        raise IndexError(f"mode index {mode_index} out of range")
-    w = real.w[mode_index]
-    return float(0.5 * (w.real**2 + w.imag**2))
 
 
 @dataclass(frozen=True)

@@ -51,66 +51,46 @@ def mode_sigma(omega, volume, constants: PhysicalConstants):
 
 
 def polarization_basis(k):
-    """Deterministic right-handed transverse basis (eps1, eps2) for wavevector k.
+    """Deterministic right-handed transverse basis (eps1, eps2) for wavevector k,
+    one 3-vector or an (M, 3) array of them (then eps1 and eps2 are (M, 3)).
 
     Convention: for k not parallel to z, eps1 = normalize(z x khat) and
     eps2 = khat x eps1; for k parallel to z, eps1 = x and eps2 = sign(k_z)*y.
     The basis depends only on the direction of k.
     """
     k = np.asarray(k, dtype=float)
-    norm = np.linalg.norm(k)
-    if norm == 0.0:
+    # the stacked matmul rounds |k| as the 1-D np.linalg.norm does, unlike
+    # norm(axis=-1) or einsum, so a row gives the bits of a single call
+    norm = np.sqrt(k[..., None, :] @ k[..., :, None])[..., 0]
+    if np.any(norm == 0.0):
         raise ValueError("polarization basis undefined for the zero wavevector")
-    khat = k / norm
-    transverse_sq = khat[0] ** 2 + khat[1] ** 2
-    if transverse_sq <= ORTHO_TOL**2:
-        eps1 = np.array([1.0, 0.0, 0.0])
-        eps2 = np.array([0.0, np.copysign(1.0, khat[2]), 0.0])
-    else:
-        t = np.sqrt(transverse_sq)
-        eps1 = np.array([-khat[1] / t, khat[0] / t, 0.0])
-        eps2 = np.cross(khat, eps1)
+    return _transverse_basis(k / norm)
+
+
+def _transverse_basis(khat):
+    """polarization_basis for unit vectors khat, shape (..., 3)."""
+    x, y = khat[..., 0], khat[..., 1]
+    # x * x is correctly rounded; pow(x, 2), which ** on a numpy scalar calls, is not
+    transverse_sq = x * x + y * y
+    par = transverse_sq <= ORTHO_TOL**2
+    t = np.sqrt(np.where(par, 1.0, transverse_sq))
+    zero = np.zeros_like(x)
+    eps1 = np.stack([np.where(par, 1.0, -y / t), np.where(par, 0.0, x / t), zero], axis=-1)
+    eps2 = np.where(par[..., None],
+                    np.stack([zero, np.copysign(1.0, khat[..., 2]), zero], axis=-1),
+                    np.cross(khat, eps1))
     return eps1, eps2
-
-
-def _polarization_pairs(khat):
-    """Vectorized form of polarization_basis for an (M, 3) array of unit vectors."""
-    m = khat.shape[0]
-    eps1 = np.empty((m, 3))
-    eps2 = np.empty((m, 3))
-    tsq = khat[:, 0] ** 2 + khat[:, 1] ** 2
-    par = tsq <= ORTHO_TOL**2
-    gen = ~par
-    t = np.sqrt(tsq[gen])
-    eps1[gen, 0] = -khat[gen, 1] / t
-    eps1[gen, 1] = khat[gen, 0] / t
-    eps1[gen, 2] = 0.0
-    eps2[gen] = np.cross(khat[gen], eps1[gen])
-    eps1[par] = (1.0, 0.0, 0.0)
-    eps2[par, 0] = 0.0
-    eps2[par, 1] = np.copysign(1.0, khat[par, 2])
-    eps2[par, 2] = 0.0
-    return eps1, eps2
-
-
-@dataclass(frozen=True)
-class Mode:
-    k: np.ndarray
-    lam: int
-    eps: np.ndarray
-    omega: float
-    sigma: float
 
 
 @dataclass(frozen=True)
 class ModeGrid:
     """Ordered, immutable set of field modes.
 
-    Modes are stored as flat arrays (row i describes mode i); ``modes``
-    materializes Mode records on demand. ``grid_type`` is "lattice" for the
-    periodic-box builder, "custom" for explicit wavevector lists, and
-    "shell" for the oscillator's resonance quadrature grids (whose sigma
-    values carry mode-density weights and are not tied to a box volume).
+    Modes are stored as flat arrays (row i describes mode i). ``grid_type``
+    is "lattice" for the periodic-box builder, "custom" for explicit
+    wavevector lists, and "shell" for the oscillator's resonance quadrature
+    grids (whose sigma values carry mode-density weights and are not tied
+    to a box volume).
     """
 
     k: np.ndarray                       # (M, 3)
@@ -139,10 +119,6 @@ class ModeGrid:
     def __len__(self) -> int:
         return self.omega.shape[0]
 
-    @property
-    def n_modes(self) -> int:
-        return len(self)
-
     @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -152,16 +128,6 @@ class ModeGrid:
         for arr in (self.k, self.lam, self.eps, self.omega, self.sigma):
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
-
-    def mode(self, i: int) -> Mode:
-        return Mode(
-            k=self.k[i], lam=int(self.lam[i]), eps=self.eps[i],
-            omega=float(self.omega[i]), sigma=float(self.sigma[i]),
-        )
-
-    @property
-    def modes(self) -> tuple:
-        return tuple(self.mode(i) for i in range(len(self)))
 
     def component_variance(self, direction) -> float:
         """Total-field variance of one Cartesian/arbitrary component:
@@ -244,26 +210,17 @@ def build_grid(box_side: float, omega_cutoff: float,
     k = n * dk
     kn = np.linalg.norm(k, axis=1)
     khat = k / kn[:, None]
-    eps1, eps2 = _polarization_pairs(khat)
     omega = constants.c * kn
     volume = box_side**3
     sigma = mode_sigma(omega, volume, constants)
-
-    nk = n.shape[0]
     # interleave (n, lambda=1), (n, lambda=2) keeping lexicographic n order
-    k2 = np.repeat(k, 2, axis=0)
-    n2rows = np.repeat(n, 2, axis=0)
-    omega2 = np.repeat(omega, 2)
-    sigma2 = np.repeat(sigma, 2)
-    lam = np.tile(np.array([1, 2], dtype=np.int64), nk)
-    eps = np.empty((2 * nk, 3))
-    eps[0::2] = eps1
-    eps[1::2] = eps2
     return ModeGrid(
-        k=k2, lam=lam, eps=eps, omega=omega2, sigma=sigma2,
+        k=np.repeat(k, 2, axis=0), lam=np.tile(np.array([1, 2], dtype=np.int64), n.shape[0]),
+        eps=np.stack(_transverse_basis(khat), axis=1).reshape(-1, 3),
+        omega=np.repeat(omega, 2), sigma=np.repeat(sigma, 2),
         constants=constants, grid_type="lattice",
         box_side=float(box_side), volume=float(volume),
-        omega_cutoff=float(omega_cutoff), n_int=n2rows,
+        omega_cutoff=float(omega_cutoff), n_int=np.repeat(n, 2, axis=0),
     )
 
 
@@ -284,67 +241,16 @@ def grid_from_kvectors(k_vectors, volume: float,
     polarizations = tuple(polarizations)
     if not polarizations or any(p not in (1, 2) for p in polarizations):
         raise ValueError("polarizations must be a nonempty subset of (1, 2)")
-    rows_k, rows_eps, rows_lam = [], [], []
-    for kvec in kv:
-        e1, e2 = polarization_basis(kvec)
-        for p in polarizations:
-            rows_k.append(kvec)
-            rows_lam.append(p)
-            rows_eps.append(e1 if p == 1 else e2)
-    k = np.array(rows_k)
+    pol = np.array(polarizations, dtype=np.int64)
+    # rows kv[0] x polarizations, kv[1] x polarizations, ...
+    k = np.repeat(kv, pol.size, axis=0)
+    eps = np.stack(polarization_basis(kv), axis=1)[:, pol - 1].reshape(-1, 3)
     omega = constants.c * np.linalg.norm(k, axis=1)
     sigma = mode_sigma(omega, volume, constants)
     return ModeGrid(
-        k=k, lam=np.array(rows_lam, dtype=np.int64), eps=np.array(rows_eps),
+        k=k, lam=np.tile(pol, kv.shape[0]), eps=eps,
         omega=omega, sigma=np.asarray(sigma, dtype=float),
         constants=constants, grid_type="custom",
         volume=float(volume), omega_cutoff=float(np.max(omega)),
     )
 
-
-def angular_polarization_integral(s) -> float:
-    """Closed form of the orientation integral of sum_lam (s.eps)^2: 8*pi*|s|^2/3."""
-    s = np.asarray(s, dtype=float)
-    return float(8.0 * np.pi * np.dot(s, s) / 3.0)
-
-
-def angular_polarization_mc(s, n_directions: int, seed: int):
-    """Monte Carlo companion of angular_polarization_integral.
-
-    Averages sum_lam (s . eps_{k,lam})^2 over uniformly random directions
-    khat and multiplies by the full solid angle 4*pi. Returns (estimate,
-    standard_error).
-    """
-    s = np.asarray(s, dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    v = rng.standard_normal((n_directions, 3))
-    khat = v / np.linalg.norm(v, axis=1)[:, None]
-    eps1, eps2 = _polarization_pairs(khat)
-    vals = (eps1 @ s) ** 2 + (eps2 @ s) ** 2
-    mean = 4.0 * np.pi * np.mean(vals)
-    se = 4.0 * np.pi * np.std(vals, ddof=1) / np.sqrt(n_directions)
-    return float(mean), float(se)
-
-
-def continuum_sum_check(grid: ModeGrid, f):
-    """Discrete mode sum of f(omega) next to its continuum-limit integral.
-
-    Returns (sum over modes of f(omega_k),
-             V/(pi^2 c^3) * integral_0^cutoff omega^2 f(omega) domega).
-    The pair quantifies how well the lattice approximates free space.
-    """
-    from scipy import integrate  # imported here: it costs ~0.3 s and nothing else needs it
-
-    if grid.volume is None or grid.omega_cutoff is None:
-        raise ValueError("continuum comparison needs a grid with volume and cutoff")
-    try:
-        fvals = np.asarray(f(grid.omega), dtype=float)
-        if fvals.shape != grid.omega.shape:
-            raise TypeError
-    except TypeError:
-        fvals = np.array([f(w) for w in grid.omega], dtype=float)
-    discrete = float(np.sum(fvals))
-    c = grid.constants.c
-    pref = grid.volume / (np.pi**2 * c**3)
-    integral, _ = integrate.quad(lambda w: w * w * f(w), 0.0, grid.omega_cutoff, limit=200)
-    return discrete, float(pref * integral)

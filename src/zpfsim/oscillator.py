@@ -135,29 +135,9 @@ def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
     return _gaussian_cf(s, coordinate_axis_variance(grid, p, s_direction))
 
 
-@dataclass(frozen=True)
-class OscillatorProductGF:
-    grid: ModeGrid
-    params: OscillatorParams
-    s_direction: tuple = (0.0, 0.0, 1.0)
-
-    def __call__(self, s):
-        return oscillator_generating(s, self.s_direction, self.grid, self.params)
-
-
 def predicted_variance(p: OscillatorParams, constants: PhysicalConstants) -> float:
     """Resonance-limit per-axis coordinate variance hbar / (2 m nu0)."""
     return constants.hbar / (2.0 * p.mass * p.nu0)
-
-
-def oscillator_pdf(q, p: OscillatorParams, constants: PhysicalConstants):
-    """Isotropic 3D Gaussian coordinate density with per-axis variance
-    hbar / (2 m nu0)."""
-    var = predicted_variance(p, constants)
-    q = np.asarray(q, dtype=float)
-    sq = np.sum(np.atleast_2d(q) ** 2, axis=-1)
-    out = (2.0 * np.pi * var) ** -1.5 * np.exp(-sq / (2.0 * var))
-    return float(out[0]) if q.ndim == 1 else out
 
 
 def bohr_radius_sq(p: OscillatorParams, constants: PhysicalConstants) -> float:
@@ -305,21 +285,13 @@ def resonance_shell_grid(p: OscillatorParams, constants: PhysicalConstants,
     sigma_sq = (constants.hbar * omega_s**3 * cell_width
                 / (4.0 * np.pi**2 * c**3 * constants.eps0 * n_dir))
 
-    rows_k, rows_eps, rows_lam, rows_omega, rows_sigma = [], [], [], [], []
-    for s_idx in range(n_shells):
-        kmag = omega_s[s_idx] / c
-        sig = np.sqrt(sigma_sq[s_idx])
-        for d in dirs:
-            e1, e2 = polarization_basis(d)
-            for lam, e in ((1, e1), (2, e2)):
-                rows_k.append(kmag * d)
-                rows_eps.append(e)
-                rows_lam.append(lam)
-                rows_omega.append(omega_s[s_idx])
-                rows_sigma.append(sig)
+    # rows (shell, direction, polarization), the polarization varying fastest
+    k = (omega_s / c)[:, None, None] * dirs
     return ModeGrid(
-        k=np.array(rows_k), lam=np.array(rows_lam, dtype=np.int64),
-        eps=np.array(rows_eps), omega=np.array(rows_omega),
-        sigma=np.array(rows_sigma), constants=constants,
-        grid_type="shell", omega_cutoff=float(np.max(rows_omega)),
+        k=np.repeat(k.reshape(-1, 3), 2, axis=0),
+        lam=np.tile(np.array([1, 2], dtype=np.int64), n_shells * n_dir),
+        eps=np.tile(np.stack(polarization_basis(dirs), axis=1).reshape(-1, 3), (n_shells, 1)),
+        omega=np.repeat(omega_s, 2 * n_dir),
+        sigma=np.repeat(np.sqrt(sigma_sq), 2 * n_dir), constants=constants,
+        grid_type="shell", omega_cutoff=float(np.max(omega_s)),
     )

@@ -41,12 +41,6 @@ def mode_stream(seed: int, mode_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def mode_streams(seed: int, n_modes: int) -> list[np.random.Generator]:
-    """Streams for modes 0..n_modes-1 (equivalent to mode_stream per index)."""
-    children = np.random.SeedSequence(check_seed(seed)).spawn(n_modes)
-    return [np.random.Generator(np.random.Philox(ss)) for ss in children]
-
-
 def skip_uniforms(gen: np.random.Generator, n: int) -> np.random.Generator:
     """Position a fresh stream as if n uniform doubles had been drawn."""
     if n < 0:

@@ -100,6 +100,8 @@ class TestValidation:
         ("figure1", '{"alpha": NaN}', "'alpha'"),
         ("figure1", '{"amplitude": 1e400}', "'amplitude'"),
         ("figure1", '{"amplitude": -1.0}', "'amplitude'"),
+        ("figure1", '{"amplitude": 1e300}', "'amplitude'"),
+        ("figure1", '{"amplitude": 1e-300}', "'amplitude'"),
         ("total-field", '{"bins": 0}', "'bins'"),
         ("sample-mode", '{"grid": {"box_side": null}}', "'grid.box_side'"),
         ("sample-mode", '{"grid": {"box_side": "abc"}}', "'grid.box_side'"),
@@ -115,9 +117,10 @@ class TestValidation:
         ("sample-mode", '{"seed": "5"}', "'seed'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
-            "amplitude_negative", "bins", "box_side_null", "box_side_text", "grid_null",
-            "volume_missing", "base_panels", "directions", "from_constants",
-            "density_empty", "density_negative", "command", "seed_text"])
+            "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
+            "box_side_null", "box_side_text", "grid_null", "volume_missing", "base_panels",
+            "directions", "from_constants", "density_empty", "density_negative", "command",
+            "seed_text"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -401,7 +404,7 @@ class TestGenerating:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("s_points", ["0", "-3", "\"many\""])
+    @pytest.mark.parametrize("s_points", ["0", "1", "-3", "\"many\""])
     def test_bad_s_points(self, tmp_path, capsys, s_points):
         cfg = tmp_path / "c.json"
         cfg.write_text(f'{{"seed": 1, "s_points": {s_points}}}')

@@ -12,7 +12,6 @@ from zpfsim import (
     grid_from_kvectors,
     ks_test,
     mode_amplitude,
-    mode_intensity,
     moments,
     sample_field_batch,
     sample_mode_batch,
@@ -121,20 +120,6 @@ class TestModeAmplitude:
 
 
 class TestModeIntensity:
-    def test_values(self):
-        grid = single_mode_grid()
-        real = FieldRealization(FieldKind.MODIFIED, grid.fingerprint, 0,
-                                w=np.array([0.0 + 0.0j]))
-        assert mode_intensity(real, 0) == 0.0
-        real = FieldRealization(FieldKind.MODIFIED, grid.fingerprint, 0,
-                                w=np.array([1.0 + 1.0j]))
-        assert mode_intensity(real, 0) == pytest.approx(1.0)
-
-    def test_boyer_rejected(self, small_grid):
-        real = draw_realization("boyer", small_grid, 1)
-        with pytest.raises(ValueError, match="Modified"):
-            mode_intensity(real, 0)
-
     def test_exponential_law(self):
         # i.i.d. intensities I = (u^2 + v^2)/2 drawn through the mode stream
         from zpfsim import rng

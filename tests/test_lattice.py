@@ -1,20 +1,56 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from zpfsim import (
     EmptyGridError,
-    angular_polarization_integral,
-    angular_polarization_mc,
+    OscillatorParams,
     build_grid,
-    continuum_sum_check,
     grid_from_kvectors,
     mode_sigma,
     polarization_basis,
+    resonance_shell_grid,
 )
 from zpfsim.constants import PhysicalConstants
 from zpfsim.lattice import ModeGrid
 
 CONSTS = PhysicalConstants()
+WEAK = PhysicalConstants(electron_charge=0.01)
+
+
+def angular_polarization_integral(s) -> float:
+    """Closed form of the orientation integral of sum_lam (s.eps)^2: 8*pi*|s|^2/3."""
+    s = np.asarray(s, dtype=float)
+    return float(8.0 * np.pi * np.dot(s, s) / 3.0)
+
+
+def angular_polarization_mc(s, n_directions: int, seed: int):
+    """Monte Carlo companion of angular_polarization_integral.
+
+    Averages sum_lam (s . eps_{k,lam})^2 over uniformly random directions
+    khat and multiplies by the full solid angle 4*pi. Returns (estimate,
+    standard_error).
+    """
+    s = np.asarray(s, dtype=float)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    eps1, eps2 = polarization_basis(rng.standard_normal((n_directions, 3)))
+    vals = (eps1 @ s) ** 2 + (eps2 @ s) ** 2
+    mean = 4.0 * np.pi * np.mean(vals)
+    se = 4.0 * np.pi * np.std(vals, ddof=1) / np.sqrt(n_directions)
+    return float(mean), float(se)
+
+
+def continuum_sum_check(grid: ModeGrid, f):
+    """Discrete mode sum of f(omega) next to its continuum-limit integral.
+
+    Returns (sum over modes of f(omega_k),
+             V/(pi^2 c^3) * integral_0^cutoff omega^2 f(omega) domega).
+    The pair quantifies how well the lattice approximates free space.
+    """
+    discrete = float(np.sum(f(grid.omega)))
+    pref = grid.volume / (np.pi**2 * grid.constants.c**3)
+    integral, _ = integrate.quad(lambda w: w * w * f(w), 0.0, grid.omega_cutoff, limit=200)
+    return discrete, float(pref * integral)
 
 
 def brute_force_count(box_side, cutoff, c=1.0):
@@ -95,11 +131,18 @@ class TestBuildGrid:
         assert np.array_equal(restored.k, small_grid.k)
         assert restored.constants == small_grid.constants
 
-    def test_mode_records(self, small_grid):
-        m = small_grid.mode(0)
-        assert m.lam == 1
-        assert m.sigma == pytest.approx(float(small_grid.sigma[0]))
-        assert len(small_grid.modes) == 36
+    def test_fingerprints_pinned(self, medium_grid):
+        """Each builder's grid bits: a change of the polarization convention,
+        the row order or the mode scales moves these fingerprints."""
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        custom = grid_from_kvectors([[0.0, 0.0, 1.5], [0.3, -1.2, 0.8], [0.0, 0.0, -2.0]],
+                                    volume=2.0, constants=CONSTS, polarizations=[2, 1])
+        shells = [resonance_shell_grid(p, WEAK, n_shells=8, directions=d).fingerprint
+                  for d in (None, 7,
+                            [[1.0, 2.0, 3.0], [0.0, 0.0, -1.0], [-1.0, 0.5, 0.0]])]
+        assert medium_grid.fingerprint == "1d54be25cea39ce4"
+        assert custom.fingerprint == "427e2e608d89b78f"
+        assert shells == ["f4807360b01eae9d", "f3d35d6d7efba51d", "885f8a35c42a2dea"]
 
 
 class TestModeSigma:
@@ -150,6 +193,18 @@ class TestPolarizationBasis:
     def test_zero_vector(self):
         with pytest.raises(ValueError):
             polarization_basis([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            polarization_basis([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def test_array_rows_equal_single_calls(self):
+        rng = np.random.default_rng(5)
+        k = rng.normal(size=(2000, 3)) * np.exp(rng.uniform(-5.0, 5.0, size=(2000, 1)))
+        k[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [1e-13, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        e1, e2 = polarization_basis(k)
+        assert e1.shape == e2.shape == (2000, 3)
+        for i, row in enumerate(k):
+            a1, a2 = polarization_basis(row)
+            assert np.array_equal(a1, e1[i]) and np.array_equal(a2, e2[i])
 
 
 class TestAngularIntegral:

@@ -16,14 +16,13 @@ from zpfsim import (
     grid_from_kvectors,
     ks_test,
     oscillator_generating,
-    oscillator_pdf,
     predicted_variance,
     resonance_integral,
     resonance_shell_grid,
     transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.oscillator import OscillatorProductGF, fibonacci_directions
+from zpfsim.oscillator import fibonacci_directions
 from zpfsim.stats import empirical_generating
 
 CONSTS = PhysicalConstants()
@@ -216,9 +215,8 @@ class TestGeneratingFunction:
         grid = resonance_shell_grid(p, WEAK, n_shells=64)
         sq = np.sqrt(predicted_variance(p, WEAK))
         s = np.linspace(0.0, 3.0 / sq, 61)
-        gf = OscillatorProductGF(grid, p, (0.0, 0.0, 1.0))
         target = np.exp(-(s * sq) ** 2 / 2.0)
-        assert np.max(np.abs(gf(s) - target)) < 0.02
+        assert np.max(np.abs(oscillator_generating(s, (0, 0, 1), grid, p) - target)) < 0.02
 
 
 class TestResonanceIntegral:
@@ -286,22 +284,12 @@ class TestClosedForms:
         via_integral = WEAK.hbar * closed / (6 * np.pi**2 * WEAK.c**3 * WEAK.eps0)
         assert via_integral == pytest.approx(predicted_variance(p, WEAK), rel=1e-12)
 
-    def test_pdf_center_and_product_structure(self):
-        p = OscillatorParams(nu0=0.5, gamma=1e-4, gamma_prime=1.0, mass=1.0)
-        assert predicted_variance(p, CONSTS) == pytest.approx(1.0)
-        assert oscillator_pdf([0.0, 0.0, 0.0], p, CONSTS) == pytest.approx(
-            (2 * np.pi) ** -1.5)
-        # the 3D density factorizes into per-axis single-mode Gaussians, so
-        # every marginal is gaussian_mode_pdf with sigma_q
-        rng_pts = np.random.default_rng(0).normal(size=(20, 3))
-        for q in rng_pts:
-            product = np.prod([gaussian_mode_pdf(x, 1.0) for x in q])
-            assert oscillator_pdf(q, p, CONSTS) == pytest.approx(product, rel=1e-12)
-
     def test_pdf_unit_mass(self):
         from scipy import integrate
         p = OscillatorParams(nu0=0.5, gamma=1e-4, gamma_prime=1.0, mass=1.0)
-        # product structure: the 3D mass is the cube of the 1D mass
+        assert predicted_variance(p, CONSTS) == pytest.approx(1.0)
+        # the isotropic coordinate law has unit per-axis variance here; its
+        # 3D mass is the cube of the 1D mass
         mass_1d, _ = integrate.quad(lambda x: gaussian_mode_pdf(x, 1.0), -10, 10)
         assert mass_1d**3 == pytest.approx(1.0, abs=1e-6)
 

@@ -15,11 +15,6 @@ class TestStreams:
         b = rng.mode_stream(42, 1).random(8)
         assert not np.array_equal(a, b)
 
-    def test_mode_streams_equals_individual(self):
-        batch = rng.mode_streams(7, 5)
-        for i, gen in enumerate(batch):
-            assert np.array_equal(gen.random(4), rng.mode_stream(7, i).random(4))
-
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 7, 12, 101])
     def test_skip_uniforms_positions_exactly(self, start):
         ref = rng.mode_stream(9, 2).random(start + 16)
