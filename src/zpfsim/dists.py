@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import j0, ndtr
 
 from .constants import PhysicalConstants
-from .lattice import ModeGrid, unit_vector
+from .fields import FieldKind, _mode_coefficients
+from .lattice import ModeGrid, mode_amplitudes
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
 _BLOCK_ELEMENTS = 2**20  # size of the largest (rows x s) temporary in a blocked loop
@@ -75,7 +76,8 @@ def hermite_function(n: int, xi):
     if n > HERMITE_MAX_LEVEL:
         raise ValueError(f"level n = {n} exceeds double-precision cap {HERMITE_MAX_LEVEL}")
     xi = np.asarray(xi, dtype=float)
-    h_prev = np.pi**-0.25 * np.exp(-0.5 * xi**2)
+    with np.errstate(over="ignore"):  # xi^2 = inf far out gives exp(-inf) = 0
+        h_prev = np.pi**-0.25 * np.exp(-0.5 * xi**2)
     if n == 0:
         return h_prev
     h = np.sqrt(2.0) * xi * h_prev
@@ -159,15 +161,17 @@ def gaussian_generating(s, sigma: float):
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function of the random-phase field:
-    prod_k J0(sqrt(2) sigma_k s (shat . eps_k)).
+    prod_k J0(A_k s) with A_k = sqrt(2) sigma_k |shat . eps_k|, the
+    mode_amplitudes of the Boyer coefficients at unit response.
 
-    J0 is even, so each factor depends only on |s| and on the amplitude
-    |a_k| = sqrt(2) sigma_k |shat . eps_k|. The product is evaluated once
-    per distinct |s| and once per distinct |a_k|, that factor raised to
-    the number of modes sharing it, in blocks of about 2^20 factors.
+    J0 is even, so each factor depends only on |s| and on A_k. The product
+    is evaluated once per distinct |s| and once per distinct A_k, that
+    factor raised to the number of modes sharing it, in blocks of about
+    2^20 factors.
     """
-    proj = grid.eps @ unit_vector(s_direction)
-    amps, mult = np.unique(np.abs(np.sqrt(2.0) * grid.sigma * proj), return_counts=True)
+    coef_a, coef_b = _mode_coefficients(FieldKind.BOYER, grid.sigma, 1.0, 0.0)
+    amps, mult = np.unique(mode_amplitudes(coef_a, coef_b, grid.eps, s_direction),
+                           return_counts=True)
     s = np.asarray(s, dtype=float)
     abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
     out = np.ones_like(abs_s)

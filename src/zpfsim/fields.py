@@ -148,12 +148,15 @@ class SampleSet:
         return stats.write_csv(path, "sample set", names, self.values, self.meta)
 
 
-def _mode_coefficients(kind: FieldKind, sigma, phi):
-    # amplitude = a*X + b*Y with (X, Y) = (cos, sin) of the phase draw for
-    # Boyer and the (u, v) normal pair for Modified; scalars or per-mode arrays
-    if kind is FieldKind.BOYER:
-        return SQRT2 * sigma * np.cos(phi), -SQRT2 * sigma * np.sin(phi)
-    return sigma * np.cos(phi), -sigma * np.sin(phi)
+def _mode_coefficients(kind: FieldKind, sigma, re, im):
+    """The one rule for the rows (a_k, b_k) of an observable
+    sigma_k Re{w_k conj(re + i*im)} = a_k X_k + b_k Y_k. (X, Y) is the
+    (u, v) normal pair of w_k for Modified, and (cos, sin) of the phase
+    draw for Boyer, whose w_k = sqrt(2) exp(i theta_k) puts sqrt(2) into
+    the scale. The field passes (cos phi, -sin phi), the oscillator
+    h~ = exp(i w t) h(w). Scalars or per-mode arrays."""
+    scale = SQRT2 * sigma if kind is FieldKind.BOYER else sigma
+    return scale * re, scale * im
 
 
 def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
@@ -172,17 +175,9 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
         raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
     phi = float(grid.k[mode_index] @ np.asarray(r, dtype=float)
                 - grid.omega[mode_index] * t)
-    a, b = _mode_coefficients(kind, float(grid.sigma[mode_index]), phi)
-    block = rng.BLOCK_PHASE if kind is FieldKind.BOYER else rng.BLOCK_NORMAL_PAIR
-    uni = rng.mode_uniforms(seed, mode_index, block * n, start=start * block)
-    if kind is FieldKind.BOYER:
-        values, y = kernels.phase_xy(uni)
-    else:
-        values, y = kernels.normal_xy(uni.reshape(n, 2))
-    # in place: one fewer n-sample temporary than a * x + b * y
-    values *= a
-    y *= b
-    values += y
+    a, b = _mode_coefficients(kind, float(grid.sigma[mode_index]), np.cos(phi), -np.sin(phi))
+    values = kernels.mode_sum(kind, np.array([[a]]), np.array([[b]]), n, seed, start,
+                              kernels.CHUNK, modes=[mode_index])[:, 0]
     meta = {
         "kind": kind.value, "grid": grid.fingerprint, "mode_index": mode_index,
         "r": np.asarray(r, dtype=float).tolist(), "t": float(t),
@@ -192,7 +187,7 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
 
 
 def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
-                       start: int = 0, chunk: int = 32768) -> SampleSet:
+                       start: int = 0, chunk: int = kernels.CHUNK) -> SampleSet:
     """n i.i.d. realizations of the full field vector E(r, t).
 
     Row j equals eval_field(draw_realization(kind, grid, seed), ...) for
@@ -203,7 +198,8 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
     seed = rng.check_seed(seed)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    a, b = _mode_coefficients(kind, grid.sigma, _phases(grid, r, t))
+    phi = _phases(grid, r, t)
+    a, b = _mode_coefficients(kind, grid.sigma, np.cos(phi), -np.sin(phi))
     out = kernels.mode_sum(kind, a[:, None] * grid.eps, b[:, None] * grid.eps,
                            n, seed, start, chunk)
     meta = {

@@ -39,6 +39,13 @@ def unit_vector(direction) -> np.ndarray:
     return d / norm
 
 
+def mode_amplitudes(coef_a, coef_b, eps, direction) -> np.ndarray:
+    """Per-mode amplitude |hypot(a_k, b_k) (eps_k . d)| of a_k X_k + b_k Y_k
+    along the unit direction d: the J0 argument per unit s of a Boyer
+    mode, and the standard deviation of a modified one."""
+    return np.abs(np.hypot(coef_a, coef_b) * (eps @ unit_vector(direction)))
+
+
 def mode_sigma(omega, volume, constants: PhysicalConstants):
     """Per-mode field scale sqrt(hbar*omega / (2*eps0*V))."""
     omega = np.asarray(omega, dtype=float)
@@ -131,9 +138,9 @@ class ModeGrid:
 
     def component_variance(self, direction) -> float:
         """Total-field variance of one Cartesian/arbitrary component:
-        sum_k (d . eps_k)^2 sigma_k^2 for a unit direction d."""
-        proj = self.eps @ unit_vector(direction)
-        return float(np.sum((proj * self.sigma) ** 2))
+        sum_k A_k^2 over the modified-field amplitudes A_k = sigma_k |d . eps_k|
+        (coefficients (sigma_k, 0)) for a unit direction d."""
+        return float(np.sum(mode_amplitudes(self.sigma, 0.0, self.eps, direction) ** 2))
 
     def to_json(self) -> str:
         payload = {

@@ -12,8 +12,10 @@ h~(w) = exp(i w t) h(w). Random-phase (Boyer) realizations enter the same
 formula through w_k = sqrt(2) exp(i theta_k), the unique substitution that
 reduces the spectral solution to the phase-averaged one.
 
-The product generating function of the coordinate is exact for any finite
-mode set; in the unbounded limit the resonance approximation gives the
+The Gaussian generating function of the coordinate is exact on any finite
+mode set for the modified field; the Boyer coordinate follows the Bessel
+product prod_k J0(A_k s) over lattice.mode_amplitudes instead. In the
+unbounded limit the resonance approximation gives the
 per-axis variance sigma_q^2 = hbar / (2 m nu0), and confining the
 distribution to two quadrature axes reproduces the ground-state mean
 square radius hbar / (m nu0).
@@ -29,8 +31,9 @@ import numpy as np
 from . import kernels, rng
 from .constants import PhysicalConstants
 from .dists import _gaussian_cf
-from .fields import FieldKind, FieldRealization, SampleSet, _as_kind, _check_match
-from .lattice import ModeGrid, polarization_basis, unit_vector
+from .fields import (FieldKind, FieldRealization, SampleSet, _as_kind, _check_match,
+                     _mode_coefficients)
+from .lattice import ModeGrid, mode_amplitudes, polarization_basis
 
 RESONANCE_WARN = 1e-2
 
@@ -75,42 +78,31 @@ def transfer(nu, p: OscillatorParams):
     return complex(out) if out.ndim == 0 else out
 
 
-def _uv_coefficients(grid: ModeGrid, p: OscillatorParams, t: float):
-    # q = sum_k sigma_k (u_k Re{h~} + v_k Im{h~}) eps_k
-    ht = np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
-    coef_u = (grid.sigma * ht.real)[:, None] * grid.eps
-    coef_v = (grid.sigma * ht.imag)[:, None] * grid.eps
-    return coef_u, coef_v
-
-
 def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParams,
                       t: float) -> np.ndarray:
-    """Oscillator coordinate vector for one field realization."""
+    """Oscillator coordinate vector for one field realization: the slow-path
+    reference sum_k sigma_k Re{w_k conj(h~(w_k))} eps_k, with w_k =
+    sqrt(2) exp(i theta_k) for Boyer realizations."""
     _check_match(real, grid)
-    coef_u, coef_v = _uv_coefficients(grid, p, t)
-    if real.kind is FieldKind.BOYER:
-        u = np.sqrt(2.0) * np.cos(real.theta)
-        v = np.sqrt(2.0) * np.sin(real.theta)
-    else:
-        u = real.w.real
-        v = real.w.imag
-    return u @ coef_u + v @ coef_v
+    ht = np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
+    w = np.sqrt(2.0) * np.exp(1j * real.theta) if real.kind is FieldKind.BOYER else real.w
+    return (grid.sigma * (w * ht.conj()).real) @ grid.eps
 
 
 def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
                         n: int, seed: int, start: int = 0,
-                        chunk: int = 32768) -> SampleSet:
+                        chunk: int = kernels.CHUNK) -> SampleSet:
     """n independent coordinate vectors; row j reproduces the slow path
     coordinate_sample(draw_realization(...)) for realization index start+j."""
     kind = _as_kind(kind)
     seed = rng.check_seed(seed)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    coef_u, coef_v = _uv_coefficients(grid, p, t)
-    if kind is FieldKind.BOYER:
-        coef_u = np.sqrt(2.0) * coef_u
-        coef_v = np.sqrt(2.0) * coef_v
-    out = kernels.mode_sum(kind, coef_u, coef_v, n, seed, start, chunk)
+    # q = sum_k (X_k a_k + Y_k b_k) eps_k with a_k + i b_k proportional to h~(w_k)
+    ht = np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
+    a, b = _mode_coefficients(kind, grid.sigma, ht.real, ht.imag)
+    out = kernels.mode_sum(kind, a[:, None] * grid.eps, b[:, None] * grid.eps,
+                           n, seed, start, chunk)
     meta = {
         "kind": kind.value, "grid": grid.fingerprint, "t": float(t),
         "seed": seed, "start": start, "count": n,
@@ -122,16 +114,19 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
 
 def coordinate_axis_variance(grid: ModeGrid, p: OscillatorParams, direction) -> float:
     """Exact per-grid variance of the coordinate along a unit direction:
-    sum_k (d.eps_k)^2 sigma_k^2 |h(w_k)|^2."""
-    proj = grid.eps @ unit_vector(direction)
+    sum_k A_k^2 with A_k = sigma_k |h(w_k)| |d.eps_k| (lattice.mode_amplitudes)."""
     h = transfer(grid.omega, p)
-    return float(np.sum(proj**2 * grid.sigma**2 * np.abs(h) ** 2))
+    a, b = _mode_coefficients(FieldKind.MODIFIED, grid.sigma, h.real, h.imag)
+    return float(np.sum(mode_amplitudes(a, b, grid.eps, direction) ** 2))
 
 
 def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
-    """Exact product generating function of the coordinate on a finite grid:
-    exp(-(s^2/2) sum_k (shat.eps_k)^2 sigma_k^2 |h(w_k)|^2). Holds for any
-    mode geometry, sparse or dense."""
+    """Gaussian generating function exp(-(s^2/2) sum_k A_k^2) of the
+    coordinate, A_k = sigma_k |h(w_k)| |shat.eps_k| the mode_amplitudes of
+    the modified field. Exact on any grid for the modified field. The Boyer
+    coordinate follows prod_k J0(A_k s) over the mode_amplitudes of its
+    own coefficients (sqrt(2) times these), which this Gaussian
+    approaches only when many comparable modes contribute."""
     return _gaussian_cf(s, coordinate_axis_variance(grid, p, s_direction))
 
 

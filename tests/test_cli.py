@@ -366,6 +366,14 @@ class TestFigure1:
             vals = np.array([[float(v) for v in r.split(",")] for r in rows])
             assert np.all(np.isfinite(vals))
 
+    def test_huge_amplitude_runs_without_overflow_warning(self, tmp_path):
+        # alpha * x reaches 1e155 there, so xi^2 in the Hermite factor is inf
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1, "amplitude": 1.3e154}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["figure1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
 
 class TestGenerating:
     def test_density_sweep(self, tmp_path):

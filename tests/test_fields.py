@@ -140,11 +140,14 @@ class TestSampleModeBatch:
             assert batch.values[0] == pytest.approx(slow, rel=1e-12)
 
     def test_partition_independent(self, small_grid):
-        full = sample_mode_batch("modified", small_grid, 3, ORIGIN, 0.0, 50, 9).values
-        p1 = sample_mode_batch("modified", small_grid, 3, ORIGIN, 0.0, 20, 9).values
-        p2 = sample_mode_batch("modified", small_grid, 3, ORIGIN, 0.0, 30, 9,
-                               start=20).values
-        assert np.array_equal(full, np.concatenate([p1, p2]))
+        # the 70 000-sample splits cross the mode sum's 32 768-row chunks
+        for kind, n, cut in (("modified", 50, 20), ("boyer", 70_000, 40_000),
+                             ("modified", 70_000, 40_000)):
+            full = sample_mode_batch(kind, small_grid, 3, ORIGIN, 0.0, n, 9).values
+            p1 = sample_mode_batch(kind, small_grid, 3, ORIGIN, 0.0, cut, 9).values
+            p2 = sample_mode_batch(kind, small_grid, 3, ORIGIN, 0.0, n - cut, 9,
+                                   start=cut).values
+            assert np.array_equal(full, np.concatenate([p1, p2]))
 
     def test_modified_gaussian_law(self, small_grid):
         sigma = float(small_grid.sigma[0])

@@ -15,6 +15,7 @@ from zpfsim import (
     gaussian_mode_pdf,
     grid_from_kvectors,
     ks_test,
+    moments,
     oscillator_generating,
     predicted_variance,
     resonance_integral,
@@ -178,6 +179,23 @@ class TestEnsemble:
         mod1 = coordinate_ensemble("modified", lone, p, 0.0, 20_000, 61)
         assert not ks_test(boyer1.values[:, 0], GaussianMode(sig1).cdf, alpha=0.01).passed
         assert ks_test(mod1.values[:, 0], GaussianMode(sig1).cdf, alpha=0.01).passed
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_boyer_kurtosis_matches_bessel_product(self, seed):
+        # few modes per axis: the Boyer coordinate keeps the Bessel-product
+        # excess kurtosis -1.5 sum A^4 / (sum A^2)^2, far from the Gaussian 0
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        grid = resonance_shell_grid(p, WEAK, n_shells=4)
+        n = 200_000
+        ens = coordinate_ensemble("boyer", grid, p, 0.0, n, seed)
+        se = np.sqrt(24.0 / n)
+        for axis in range(3):
+            amps = (np.sqrt(2.0) * grid.sigma * np.abs(transfer(grid.omega, p))
+                    * np.abs(grid.eps[:, axis]))
+            gamma2 = -1.5 * np.sum(amps**4) / np.sum(amps**2) ** 2
+            kurt = moments(ens.values[:, axis]).excess_kurtosis
+            assert abs(kurt - gamma2) / se < 5
+            assert kurt / se < -4
 
 
 class TestGeneratingFunction:
