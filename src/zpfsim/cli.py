@@ -17,8 +17,8 @@ Every run requires an explicit seed (no wall-clock default) and checks its
 config before writing anything: an unknown key, top-level or nested, or a
 bad value exits 1 naming the field. It writes the resolved config as
 manifest.json (re-ingestable via --config) and CSV with 17 significant
-digits. Exit codes: 0 success, 1 usage or validation error, 2 numerical
-error.
+digits. Exit codes: 0 success, 1 usage or validation error or a run too
+large for memory, 2 numerical error.
 """
 
 from __future__ import annotations
@@ -417,6 +417,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

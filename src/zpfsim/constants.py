@@ -37,7 +37,3 @@ class PhysicalConstants:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhysicalConstants":
-        return cls(**data)

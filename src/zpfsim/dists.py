@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import j0, ndtr
 
 from .constants import PhysicalConstants
-from .fields import FieldKind, _mode_coefficients
-from .lattice import ModeGrid, mode_amplitudes
+from .fields import observable_amplitudes
+from .lattice import ModeGrid
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
 _BLOCK_ELEMENTS = 2**20  # size of the largest (rows x s) temporary in a blocked loop
@@ -162,15 +162,14 @@ def gaussian_generating(s, sigma: float):
 def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function of the random-phase field:
     prod_k J0(A_k s) with A_k = sqrt(2) sigma_k |shat . eps_k|, the
-    mode_amplitudes of the Boyer coefficients at unit response.
+    fields.observable_amplitudes of the Boyer field at unit response.
 
     J0 is even, so each factor depends only on |s| and on A_k. The product
     is evaluated once per distinct |s| and once per distinct A_k, that
     factor raised to the number of modes sharing it, in blocks of about
     2^20 factors.
     """
-    coef_a, coef_b = _mode_coefficients(FieldKind.BOYER, grid.sigma, 1.0, 0.0)
-    amps, mult = np.unique(mode_amplitudes(coef_a, coef_b, grid.eps, s_direction),
+    amps, mult = np.unique(observable_amplitudes("boyer", grid, 1.0, 0.0, s_direction),
                            return_counts=True)
     s = np.asarray(s, dtype=float)
     abs_s, inverse = np.unique(np.abs(s), return_inverse=True)

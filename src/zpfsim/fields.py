@@ -1,4 +1,4 @@
-"""Stochastic zero-point field realizations and mode sampling.
+"""Stochastic zero-point field realizations and the one observable path.
 
 Two classical field ansatzes are implemented:
 
@@ -15,6 +15,13 @@ Two classical field ansatzes are implemented:
   equivalently an exponentially distributed intensity I_k = |w_k|^2 / 2
   with a uniform phase.
 
+The field and the field-driven oscillator are the same linear observable
+sum_k sigma_k Re{w_k conj(rho_k)} eps_k (w_k = sqrt(2) exp(i theta_k) for
+Boyer); only the per-mode response rho_k differs. Every observable goes
+through three functions here, given rho_k as (re, im): sample_observable
+(the fast batch sampler), observe (the slow-path reference) and
+observable_amplitudes (the per-mode amplitudes of its exact law).
+
 A realization is immutable and fully determined by (kind, grid, seed);
 per-mode counter-based streams (rng.py) let batch samplers draw a single
 mode's variables without generating the rest.
@@ -28,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels, rng, stats
-from .lattice import ModeGrid
+from .lattice import ModeGrid, mode_amplitudes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -71,11 +78,6 @@ class FieldRealization:
         return arr.shape[0]
 
 
-def _check_match(real: FieldRealization, grid: ModeGrid):
-    if real.grid_fingerprint != grid.fingerprint or len(real) != len(grid):
-        raise ValueError("realization does not match grid")
-
-
 def draw_realization(kind, grid: ModeGrid, seed: int) -> FieldRealization:
     """Draw all per-mode variables; deterministic in (kind, grid, seed).
 
@@ -100,30 +102,39 @@ def _phases(grid: ModeGrid, r, t: float) -> np.ndarray:
     return grid.k @ r - grid.omega * t
 
 
+def _point_meta(r, t: float) -> dict:
+    return {"r": np.asarray(r, dtype=float).tolist(), "t": float(t)}
+
+
+def _mode_phase(grid: ModeGrid, mode_index: int, r, t: float) -> float:
+    """Phase k_i.r - w_i t of one mode. A scalar dot product: indexing
+    _phases instead moves the last bit of some modes."""
+    if not 0 <= mode_index < len(grid):
+        raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
+    return float(grid.k[mode_index] @ np.asarray(r, dtype=float) - grid.omega[mode_index] * t)
+
+
+def observe(real: FieldRealization, grid: ModeGrid, re, im) -> np.ndarray:
+    """The slow-path reference: per-mode terms sigma_k Re{w_k conj(re_k +
+    i im_k)} of one realization, w_k = sqrt(2) exp(i theta_k) for Boyer.
+    It shares no code with the fast path (sample_observable) it checks."""
+    if real.grid_fingerprint != grid.fingerprint or len(real) != len(grid):
+        raise ValueError("realization does not match grid")
+    w = SQRT2 * np.exp(1j * real.theta) if real.kind is FieldKind.BOYER else real.w
+    return grid.sigma * (w * (re - 1j * im)).real
+
+
 def eval_field(real: FieldRealization, grid: ModeGrid, r, t: float) -> np.ndarray:
     """Exact finite-sum field vector E(r, t) of one realization."""
-    _check_match(real, grid)
     phi = _phases(grid, r, t)
-    if real.kind is FieldKind.BOYER:
-        amps = SQRT2 * grid.sigma * np.cos(phi + real.theta)
-    else:
-        amps = grid.sigma * (real.w.real * np.cos(phi) - real.w.imag * np.sin(phi))
-    return amps @ grid.eps
+    return observe(real, grid, np.cos(phi), -np.sin(phi)) @ grid.eps
 
 
 def mode_amplitude(real: FieldRealization, grid: ModeGrid, mode_index: int,
                    r, t: float) -> float:
     """Scalar coefficient E_k of eps_k in the mode expansion at (r, t)."""
-    _check_match(real, grid)
-    if not 0 <= mode_index < len(grid):
-        raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
-    phi = float(grid.k[mode_index] @ np.asarray(r, dtype=float)
-                - grid.omega[mode_index] * t)
-    sigma = float(grid.sigma[mode_index])
-    if real.kind is FieldKind.BOYER:
-        return float(SQRT2 * sigma * np.cos(phi + real.theta[mode_index]))
-    w = real.w[mode_index]
-    return float(sigma * (w.real * np.cos(phi) - w.imag * np.sin(phi)))
+    phi = _mode_phase(grid, mode_index, r, t)
+    return float(observe(real, grid, np.cos(phi), -np.sin(phi))[mode_index])
 
 
 @dataclass(frozen=True)
@@ -153,10 +164,40 @@ def _mode_coefficients(kind: FieldKind, sigma, re, im):
     sigma_k Re{w_k conj(re + i*im)} = a_k X_k + b_k Y_k. (X, Y) is the
     (u, v) normal pair of w_k for Modified, and (cos, sin) of the phase
     draw for Boyer, whose w_k = sqrt(2) exp(i theta_k) puts sqrt(2) into
-    the scale. The field passes (cos phi, -sin phi), the oscillator
-    h~ = exp(i w t) h(w). Scalars or per-mode arrays."""
+    the scale. Scalars or per-mode arrays."""
     scale = SQRT2 * sigma if kind is FieldKind.BOYER else sigma
     return scale * re, scale * im
+
+
+def sample_observable(kind, grid: ModeGrid, re, im, n: int, seed: int, start: int,
+                      chunk: int, meta: dict, mode_index: int | None = None) -> SampleSet:
+    """The one fast path: realizations start..start+n-1 of the observable
+    sum_k sigma_k Re{w_k conj(re_k + i im_k)} eps_k, whose per-mode response
+    re + i*im is exp(-i phi_k) for the field at (r, t) and exp(i w t) h(w)
+    for the oscillator. With ``mode_index`` the response is that mode's
+    and the result its scalar term alone, read from its own stream. The
+    SampleSet meta holds kind, grid, seed, start and count besides ``meta``."""
+    kind = _as_kind(kind)
+    seed = rng.check_seed(seed)
+    if n < 1:
+        raise ValueError("sample count must be >= 1")
+    if mode_index is None:
+        sigma, eps, modes = grid.sigma, grid.eps, None
+    else:
+        sigma, eps, modes = grid.sigma[[mode_index]], np.ones((1, 1)), [mode_index]
+    a, b = _mode_coefficients(kind, sigma, re, im)
+    values = kernels.mode_sum(kind, a[:, None] * eps, b[:, None] * eps, n, seed, start,
+                              chunk, modes)
+    return SampleSet(values=values if modes is None else values[:, 0], meta={
+        "kind": kind.value, "grid": grid.fingerprint, **meta,
+        "seed": seed, "start": start, "count": n})
+
+
+def observable_amplitudes(kind, grid: ModeGrid, re, im, direction) -> np.ndarray:
+    """lattice.mode_amplitudes of the rows of the observable with per-mode
+    response re + i*im, along a unit direction: the A_k of its exact law."""
+    return mode_amplitudes(*_mode_coefficients(_as_kind(kind), grid.sigma, re, im),
+                           grid.eps, direction)
 
 
 def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
@@ -167,23 +208,10 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
     mode; sample j reproduces the slow path for realization j, so workers
     may split the index range via ``start`` without changing the output.
     """
-    kind = _as_kind(kind)
-    seed = rng.check_seed(seed)
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    if not 0 <= mode_index < len(grid):
-        raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
-    phi = float(grid.k[mode_index] @ np.asarray(r, dtype=float)
-                - grid.omega[mode_index] * t)
-    a, b = _mode_coefficients(kind, float(grid.sigma[mode_index]), np.cos(phi), -np.sin(phi))
-    values = kernels.mode_sum(kind, np.array([[a]]), np.array([[b]]), n, seed, start,
-                              kernels.CHUNK, modes=[mode_index])[:, 0]
-    meta = {
-        "kind": kind.value, "grid": grid.fingerprint, "mode_index": mode_index,
-        "r": np.asarray(r, dtype=float).tolist(), "t": float(t),
-        "seed": seed, "start": start, "count": n,
-    }
-    return SampleSet(values=values, meta=meta)
+    phi = _mode_phase(grid, mode_index, r, t)
+    return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start,
+                             kernels.CHUNK, {"mode_index": mode_index, **_point_meta(r, t)},
+                             mode_index)
 
 
 def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
@@ -194,17 +222,6 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
     realization index start + j. Work proceeds mode by mode so memory stays
     O(n) regardless of grid size.
     """
-    kind = _as_kind(kind)
-    seed = rng.check_seed(seed)
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
     phi = _phases(grid, r, t)
-    a, b = _mode_coefficients(kind, grid.sigma, np.cos(phi), -np.sin(phi))
-    out = kernels.mode_sum(kind, a[:, None] * grid.eps, b[:, None] * grid.eps,
-                           n, seed, start, chunk)
-    meta = {
-        "kind": kind.value, "grid": grid.fingerprint,
-        "r": np.asarray(r, dtype=float).tolist(), "t": float(t),
-        "seed": seed, "start": start, "count": n,
-    }
-    return SampleSet(values=out, meta=meta)
+    return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start, chunk,
+                             _point_meta(r, t))

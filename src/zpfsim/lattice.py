@@ -14,8 +14,7 @@ polarization index), so the same inputs always produce bit-identical grids.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,14 +109,10 @@ class ModeGrid:
     box_side: float | None = None
     volume: float | None = None
     omega_cutoff: float | None = None
-    n_int: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("k", "lam", "eps", "omega", "sigma", "n_int"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.ascontiguousarray(arr)
+        for name in ("k", "lam", "eps", "omega", "sigma"):
+            arr = np.ascontiguousarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self.omega) == 0:
@@ -141,48 +136,6 @@ class ModeGrid:
         sum_k A_k^2 over the modified-field amplitudes A_k = sigma_k |d . eps_k|
         (coefficients (sigma_k, 0)) for a unit direction d."""
         return float(np.sum(mode_amplitudes(self.sigma, 0.0, self.eps, direction) ** 2))
-
-    def to_json(self) -> str:
-        payload = {
-            "grid_type": self.grid_type,
-            "box_side": self.box_side,
-            "volume": self.volume,
-            "omega_cutoff": self.omega_cutoff,
-            "constants": self.constants.to_dict(),
-            "modes": [
-                {
-                    "n": None if self.n_int is None else [int(v) for v in self.n_int[i]],
-                    "k": [float(v) for v in self.k[i]],
-                    "lambda": int(self.lam[i]),
-                    "eps": [float(v) for v in self.eps[i]],
-                    "omega": float(self.omega[i]),
-                    "sigma": float(self.sigma[i]),
-                }
-                for i in range(len(self))
-            ],
-        }
-        return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModeGrid":
-        data = json.loads(text)
-        modes = data["modes"]
-        n_int = None
-        if modes and modes[0].get("n") is not None:
-            n_int = np.array([m["n"] for m in modes], dtype=np.int64)
-        return cls(
-            k=np.array([m["k"] for m in modes], dtype=float),
-            lam=np.array([m["lambda"] for m in modes], dtype=np.int64),
-            eps=np.array([m["eps"] for m in modes], dtype=float),
-            omega=np.array([m["omega"] for m in modes], dtype=float),
-            sigma=np.array([m["sigma"] for m in modes], dtype=float),
-            constants=PhysicalConstants.from_dict(data["constants"]),
-            grid_type=data.get("grid_type", "lattice"),
-            box_side=data.get("box_side"),
-            volume=data.get("volume"),
-            omega_cutoff=data.get("omega_cutoff"),
-            n_int=n_int,
-        )
 
 
 def build_grid(box_side: float, omega_cutoff: float,
@@ -227,7 +180,7 @@ def build_grid(box_side: float, omega_cutoff: float,
         omega=np.repeat(omega, 2), sigma=np.repeat(sigma, 2),
         constants=constants, grid_type="lattice",
         box_side=float(box_side), volume=float(volume),
-        omega_cutoff=float(omega_cutoff), n_int=np.repeat(n, 2, axis=0),
+        omega_cutoff=float(omega_cutoff),
     )
 
 
@@ -243,8 +196,9 @@ def grid_from_kvectors(k_vectors, volume: float,
     kv = np.atleast_2d(np.asarray(k_vectors, dtype=float))
     if kv.shape[1] != 3:
         raise ValueError("k_vectors must be a list of 3-vectors")
-    if np.any(np.linalg.norm(kv, axis=1) == 0.0):
-        raise ValueError("zero wavevector not allowed")
+    norm = np.linalg.norm(kv, axis=1)
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+        raise ValueError("k_vectors must be finite and nonzero (no zero wavevector)")
     polarizations = tuple(polarizations)
     if not polarizations or any(p not in (1, 2) for p in polarizations):
         raise ValueError("polarizations must be a nonempty subset of (1, 2)")

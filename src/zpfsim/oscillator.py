@@ -10,11 +10,12 @@ so a field realization maps to an oscillator coordinate by the exact
 finite sum q(t) = sum_k eps_k sigma_k Re{ w_k conj(h~(w)) } with
 h~(w) = exp(i w t) h(w). Random-phase (Boyer) realizations enter the same
 formula through w_k = sqrt(2) exp(i theta_k), the unique substitution that
-reduces the spectral solution to the phase-averaged one.
+reduces the spectral solution to the phase-averaged one. So the coordinate
+is the observable of fields.py with per-mode response h~ for exp(-i phi_k).
 
 The Gaussian generating function of the coordinate is exact on any finite
 mode set for the modified field; the Boyer coordinate follows the Bessel
-product prod_k J0(A_k s) over lattice.mode_amplitudes instead. In the
+product prod_k J0(A_k s) over fields.observable_amplitudes instead. In the
 unbounded limit the resonance approximation gives the
 per-axis variance sigma_q^2 = hbar / (2 m nu0), and confining the
 distribution to two quadrature axes reproduces the ground-state mean
@@ -28,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, rng
+from . import kernels
 from .constants import PhysicalConstants
 from .dists import _gaussian_cf
-from .fields import (FieldKind, FieldRealization, SampleSet, _as_kind, _check_match,
-                     _mode_coefficients)
-from .lattice import ModeGrid, mode_amplitudes, polarization_basis
+from .fields import (FieldRealization, SampleSet, observable_amplitudes, observe,
+                     sample_observable)
+from .lattice import ModeGrid, polarization_basis
 
 RESONANCE_WARN = 1e-2
+QUADRATURE_REL_TOL = 1e-3  # largest change of resonance_integral on doubling panels
 
 
 class ConvergenceError(RuntimeError):
@@ -78,15 +80,18 @@ def transfer(nu, p: OscillatorParams):
     return complex(out) if out.ndim == 0 else out
 
 
+def _response(grid: ModeGrid, p: OscillatorParams, t: float) -> np.ndarray:
+    """Per-mode response h~(w_k) = exp(i w_k t) h(w_k) of the coordinate at t."""
+    return np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
+
+
 def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParams,
                       t: float) -> np.ndarray:
     """Oscillator coordinate vector for one field realization: the slow-path
     reference sum_k sigma_k Re{w_k conj(h~(w_k))} eps_k, with w_k =
     sqrt(2) exp(i theta_k) for Boyer realizations."""
-    _check_match(real, grid)
-    ht = np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
-    w = np.sqrt(2.0) * np.exp(1j * real.theta) if real.kind is FieldKind.BOYER else real.w
-    return (grid.sigma * (w * ht.conj()).real) @ grid.eps
+    ht = _response(grid, p, t)
+    return observe(real, grid, ht.real, ht.imag) @ grid.eps
 
 
 def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
@@ -94,39 +99,27 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
                         chunk: int = kernels.CHUNK) -> SampleSet:
     """n independent coordinate vectors; row j reproduces the slow path
     coordinate_sample(draw_realization(...)) for realization index start+j."""
-    kind = _as_kind(kind)
-    seed = rng.check_seed(seed)
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    # q = sum_k (X_k a_k + Y_k b_k) eps_k with a_k + i b_k proportional to h~(w_k)
-    ht = np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
-    a, b = _mode_coefficients(kind, grid.sigma, ht.real, ht.imag)
-    out = kernels.mode_sum(kind, a[:, None] * grid.eps, b[:, None] * grid.eps,
-                           n, seed, start, chunk)
-    meta = {
-        "kind": kind.value, "grid": grid.fingerprint, "t": float(t),
-        "seed": seed, "start": start, "count": n,
-        "params": {"nu0": p.nu0, "gamma": p.gamma,
-                   "gamma_prime": p.gamma_prime, "mass": p.mass},
-    }
-    return SampleSet(values=out, meta=meta)
+    ht = _response(grid, p, t)
+    return sample_observable(kind, grid, ht.real, ht.imag, n, seed, start, chunk, {
+        "t": float(t), "params": {"nu0": p.nu0, "gamma": p.gamma,
+                                  "gamma_prime": p.gamma_prime, "mass": p.mass}})
 
 
 def coordinate_axis_variance(grid: ModeGrid, p: OscillatorParams, direction) -> float:
     """Exact per-grid variance of the coordinate along a unit direction:
-    sum_k A_k^2 with A_k = sigma_k |h(w_k)| |d.eps_k| (lattice.mode_amplitudes)."""
+    sum_k A_k^2 with A_k = sigma_k |h(w_k)| |d.eps_k| (fields.observable_amplitudes)."""
     h = transfer(grid.omega, p)
-    a, b = _mode_coefficients(FieldKind.MODIFIED, grid.sigma, h.real, h.imag)
-    return float(np.sum(mode_amplitudes(a, b, grid.eps, direction) ** 2))
+    return float(np.sum(observable_amplitudes("modified", grid, h.real, h.imag,
+                                              direction) ** 2))
 
 
 def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
     """Gaussian generating function exp(-(s^2/2) sum_k A_k^2) of the
-    coordinate, A_k = sigma_k |h(w_k)| |shat.eps_k| the mode_amplitudes of
-    the modified field. Exact on any grid for the modified field. The Boyer
-    coordinate follows prod_k J0(A_k s) over the mode_amplitudes of its
-    own coefficients (sqrt(2) times these), which this Gaussian
-    approaches only when many comparable modes contribute."""
+    coordinate, A_k = sigma_k |h(w_k)| |shat.eps_k| the observable_amplitudes
+    of the modified field, for which it is exact on any grid. The Boyer
+    coordinate follows prod_k J0(A_k s) over its own amplitudes (sqrt(2)
+    times these), which this Gaussian approaches only when many comparable
+    modes contribute."""
     return _gaussian_cf(s, coordinate_axis_variance(grid, p, s_direction))
 
 
@@ -176,15 +169,14 @@ def _resonance_edges(p: OscillatorParams, omega_max: float, base_panels: int,
 
 
 def resonance_integral(p: OscillatorParams, omega_max: float,
-                       base_panels: int = 24, window_scale: float = 50.0,
-                       rel_tol: float = 1e-3):
+                       base_panels: int = 24, window_scale: float = 50.0):
     """Quadrature of integral_0^omega_max w^3 |h(w)|^2 dw next to its
     resonance-approximation closed form pi Gamma'^2 / (2 Gamma nu0).
 
     The integrand is a narrow near-Lorentzian peak at nu0; panels are
     linear inside a window of half-width window_scale*Gamma*nu0^3 and
     geometric outside. Doubling the panel count must change the result by
-    less than rel_tol, otherwise a ConvergenceError is raised.
+    less than QUADRATURE_REL_TOL, otherwise a ConvergenceError is raised.
     """
     if not omega_max > 0.0:
         raise ValueError("omega_max must be strictly positive")
@@ -202,10 +194,10 @@ def resonance_integral(p: OscillatorParams, omega_max: float,
                            f, nodes, weights)
     fine = _gauss_panels(_resonance_edges(p, omega_max, 2 * base_panels, window_scale),
                          f, nodes, weights)
-    if abs(fine - coarse) > rel_tol * abs(fine):
+    if abs(fine - coarse) > QUADRATURE_REL_TOL * abs(fine):
         raise ConvergenceError(
             f"resonance quadrature did not converge: doubling panels moved the "
-            f"value by {abs(fine - coarse) / abs(fine):.2e} (> {rel_tol:g})"
+            f"value by {abs(fine - coarse) / abs(fine):.2e} (> {QUADRATURE_REL_TOL:g})"
         )
     closed = np.pi * p.gamma_prime**2 / (2.0 * p.gamma * p.nu0)
     return float(fine), float(closed)
@@ -255,10 +247,15 @@ def resonance_shell_grid(p: OscillatorParams, constants: PhysicalConstants,
     if directions is None:
         dirs = AXIS_DIRECTIONS
     elif isinstance(directions, (int, np.integer)):
+        if directions < 1:
+            raise ValueError(f"directions must be a count >= 1, got {directions}")
         dirs = fibonacci_directions(int(directions))
     else:
         dirs = np.asarray(directions, dtype=float)
-        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        norm = np.linalg.norm(dirs, axis=1) if dirs.ndim == 2 and dirs.shape[1] == 3 else None
+        if norm is None or not np.all(np.isfinite(norm) & (norm > 0.0)):
+            raise ValueError("directions must be a list of finite, nonzero 3-vectors")
+        dirs = dirs / norm[:, None]
     n_dir = dirs.shape[0]
 
     half_width = p.gamma * p.nu0**2 / 2.0

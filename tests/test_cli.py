@@ -147,6 +147,21 @@ class TestValidation:
         assert "usage:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, text, size", [
+        ("total-field", '{"grid": {"box_side": 6.283185307179586, "omega_cutoff": 1e5}}',
+         "56.8 PiB"),
+        ("total-field", '{"samples": 1000000000000000}', "21.3 PiB"),
+        ("oscillator", '{"shells": {"n_shells": 1000000000000000}}', "7.11 PiB"),
+    ], ids=["lattice", "samples", "shells"])
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, command, text, size):
+        # numpy refuses each of these allocations at once, allocating nothing
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        rc = main([command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: out of memory:") and size in err
+
     @pytest.mark.parametrize("argv, keys, nested", [
         (["sample-mode", "--samples", "200"],
          {"kind", "samples", "constants", "r", "t", "grid", "mode_index"},

@@ -114,22 +114,18 @@ class TestBuildGrid:
     def test_deterministic_and_bit_identical(self):
         a = build_grid(2 * np.pi, 2.5, CONSTS)
         b = build_grid(2 * np.pi, 2.5, CONSTS)
-        for name in ("k", "lam", "eps", "omega", "sigma", "n_int"):
+        for name in ("k", "lam", "eps", "omega", "sigma"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.fingerprint == b.fingerprint
-        # lexicographic order in n
-        keys = [tuple(row) for row in a.n_int[0::2]]
+        # lexicographic order in n = k L / 2 pi, which rounds back exactly
+        n = np.rint(a.k[0::2] / (2 * np.pi / a.box_side))
+        assert np.array_equal(n * (2 * np.pi / a.box_side), a.k[0::2])
+        keys = [tuple(row) for row in n]
         assert keys == sorted(keys)
 
     def test_arrays_immutable(self, small_grid):
         with pytest.raises(ValueError):
             small_grid.sigma[0] = 99.0
-
-    def test_json_roundtrip(self, small_grid):
-        restored = ModeGrid.from_json(small_grid.to_json())
-        assert restored.fingerprint == small_grid.fingerprint
-        assert np.array_equal(restored.k, small_grid.k)
-        assert restored.constants == small_grid.constants
 
     def test_fingerprints_pinned(self, medium_grid):
         """Each builder's grid bits: a change of the polarization convention,
@@ -254,6 +250,11 @@ class TestCustomGrid:
     def test_rejects_zero_wavevector(self):
         with pytest.raises(ValueError):
             grid_from_kvectors([[0.0, 0.0, 0.0]], volume=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_wavevector(self, bad):
+        with pytest.raises(ValueError, match="k_vectors"):
+            grid_from_kvectors([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]], volume=1.0)
 
     def test_rejects_bad_polarizations(self):
         with pytest.raises(ValueError):

@@ -352,3 +352,11 @@ class TestShellGrid:
             resonance_shell_grid(p, WEAK, n_shells=1)
         with pytest.raises(ValueError):
             resonance_shell_grid(p, WEAK, coverage=1.5)
+
+    @pytest.mark.parametrize("directions", [
+        0, -2, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[np.nan, 0.0, 1.0]], [[np.inf, 0.0, 1.0]],
+    ], ids=["zero_count", "negative_count", "zero_vector", "nan", "inf"])
+    def test_rejects_bad_directions(self, directions):
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        with pytest.raises(ValueError, match="directions"):
+            resonance_shell_grid(p, WEAK, n_shells=4, directions=directions)

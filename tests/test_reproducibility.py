@@ -11,14 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpfsim import (
-    ModeGrid,
     OscillatorParams,
     build_grid,
     coordinate_ensemble,
     coordinate_sample,
     draw_realization,
     eval_field,
-    grid_from_kvectors,
     mode_amplitude,
     sample_field_batch,
     sample_mode_batch,
@@ -85,19 +83,3 @@ def test_coordinate_ensemble_split_and_chunk_invariant(kind, seed, split, chunk)
     slow = coordinate_sample(draw_realization(kind, GRID, seed), GRID, PARAMS, T)
     scale = np.abs(full).max() + np.abs(slow).max()
     assert np.allclose(full[0], slow, rtol=1e-10, atol=1e-12 * scale)
-
-
-finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-
-
-@PROPERTY
-@given(
-    kvectors=st.lists(st.tuples(finite, finite, finite).filter(
-        lambda k: np.linalg.norm(k) > 1e-3), min_size=1, max_size=6),
-    volume=st.floats(0.1, 100.0),
-    polarizations=st.sampled_from([(1,), (2,), (1, 2)]),
-)
-def test_grid_json_round_trip_keeps_fingerprint(kvectors, volume, polarizations):
-    grid = grid_from_kvectors(kvectors, volume, CONSTS, polarizations=polarizations)
-    back = ModeGrid.from_json(grid.to_json())
-    assert back.fingerprint == grid.fingerprint
