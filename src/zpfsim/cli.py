@@ -13,10 +13,10 @@ seed (required) and out; SPECS holds every field's default and check:
     generating    Bessel-product vs Gaussian generating-function sweep
                   constants grid direction s_points density_factors
 
-Every run requires an explicit seed (no wall-clock default) and checks its
-config before writing anything: an unknown key, top-level or nested, or a
-bad value exits 1 naming the field. It writes the resolved config as
-manifest.json (re-ingestable via --config) and CSV with 17 significant
+Every run requires an explicit seed (no wall-clock default): an unknown
+config key, top-level or nested, or a bad value exits 1 naming the field.
+Only a run that succeeds writes: its resolved config as manifest.json
+(re-ingestable via --config), report.json and CSV with 17 significant
 digits. Exit codes: 0 success, 1 usage or validation error or a run too
 large for memory, 2 numerical error.
 """
@@ -72,6 +72,11 @@ def _number(v, kind=(int, float)) -> bool:   # no bool, nan, inf or huge int
     return isinstance(v, kind) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _dir_path(v) -> bool:   # a directory, or a path mkdir can make one
+    path = Path(v)
+    return next(p for p in (path, *path.parents) if p.is_symlink() or p.exists()).is_dir()
+
+
 def _point(v, nonzero=False) -> bool:   # nonzero: can be normalized
     return (isinstance(v, list) and len(v) == 3 and all(map(_number, v))
             and (not nonzero or 0.0 < np.linalg.norm(v) < np.inf))
@@ -125,8 +130,9 @@ SAMPLING = dict(
 FIELD = dict(SAMPLING, r=([0.0, 0.0, 0.0], POINT), t=(0.0, REAL), grid=_grid(2.0 * np.pi, 2.5))
 
 SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, _int(0)),
-                   "out": ("zpfsim-out", _check(lambda v: isinstance(v, str) and v,
-                                                "a non-empty string")), **spec}
+                   "out": ("zpfsim-out", _check(
+                       lambda v: isinstance(v, str) and v and _dir_path(v),
+                       "a non-empty path to a directory, not to or under a file")), **spec}
          for command, spec in {
     "sample-mode": dict(FIELD, mode_index=(0, _int(0))),
     "total-field": dict(FIELD, component=([1.0, 0.0, 0.0], DIRECTION), bins=(60, _int(1))),
@@ -206,30 +212,19 @@ def _mode_grid(spec, constants) -> ModeGrid:
     return build_grid(spec["box_side"], spec["omega_cutoff"], constants)
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _finish(cfg, out: Path, summary: dict, as_json: bool) -> int:
-    (out / "manifest.json").write_text(json.dumps(cfg, indent=1))
-    (out / "report.json").write_text(json.dumps(summary, indent=1))
-    print(json.dumps(summary) if as_json
-          else "\n".join(f"{key}: {value}" for key, value in summary.items()))
-    return 0
+def _csv(title, names, columns, meta):
+    """A call that writes these columns to a path through stats.write_csv."""
+    return lambda path: stats.write_csv(path, title, names, np.column_stack(columns), meta)
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_sample_mode(cfg, as_json: bool) -> int:
+def cmd_sample_mode(cfg):
     grid = _mode_grid(cfg["grid"], PhysicalConstants(**cfg["constants"]))
     mode_index = cfg["mode_index"]
     _check(lambda i: i < len(grid), f"< {len(grid)}, the mode count")(mode_index, "mode_index")
-    out = _outdir(cfg)
     batch = fields.sample_mode_batch(
         cfg["kind"], grid, mode_index, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
-    batch.to_csv(out / "samples.csv")
     sigma = float(grid.sigma[mode_index])
     rep = stats.moments(batch.values)
     ks_gauss = stats.ks_test(batch.values, GaussianMode(sigma).cdf, alpha=0.01)
@@ -237,34 +232,34 @@ def cmd_sample_mode(cfg, as_json: bool) -> int:
     summary = {
         "kind": cfg["kind"], "mode_index": mode_index, "sigma": sigma,
         "moments": rep.to_dict(), "ks_gaussian": ks_gauss.to_dict(),
-        "ks_arcsine": ks_arcs.to_dict(), "files": ["samples.csv"],
+        "ks_arcsine": ks_arcs.to_dict(),
     }
-    return _finish(cfg, out, summary, as_json)
+    return summary, {"samples.csv": batch.to_csv}
 
 
-def cmd_total_field(cfg, as_json: bool) -> int:
+def cmd_total_field(cfg):
     grid = _mode_grid(cfg["grid"], PhysicalConstants(**cfg["constants"]))
     component = unit_vector(cfg["component"])
-    out = _outdir(cfg)
+    sigma_comp = float(np.sqrt(grid.component_variance(component)))
+    _check(lambda c: sigma_comp > 0, "a direction in which the grid's field varies")(
+        cfg["component"], "component")
     batch = fields.sample_field_batch(
         cfg["kind"], grid, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
     values = batch.values @ component
-    sigma_comp = float(np.sqrt(grid.component_variance(component)))
     rep = stats.moments(values)
     ks = stats.ks_test(values, GaussianMode(sigma_comp).cdf, alpha=0.01)
     span = 5.0 * sigma_comp
     edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
-    stats.write_csv(out / "histogram.csv", "histogram", ("bin_left", "bin_right", "density"),
-                    np.column_stack([edges[:-1], edges[1:], dens]),
-                    {"kind": cfg["kind"], "component": component.tolist()})
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
-        "moments": rep.to_dict(), "ks_gaussian": ks.to_dict(), "files": ["histogram.csv"],
+        "moments": rep.to_dict(), "ks_gaussian": ks.to_dict(),
     }
-    return _finish(cfg, out, summary, as_json)
+    return summary, {"histogram.csv": _csv(
+        "histogram", ("bin_left", "bin_right", "density"), [edges[:-1], edges[1:], dens],
+        {"kind": cfg["kind"], "component": component.tolist()})}
 
 
-def cmd_oscillator(cfg, as_json: bool) -> int:
+def cmd_oscillator(cfg):
     constants = PhysicalConstants(**cfg["constants"])
     osc = cfg["oscillator"]
     params = (OscillatorParams.from_constants(osc["nu0"], constants) if osc["from_constants"]
@@ -278,11 +273,11 @@ def cmd_oscillator(cfg, as_json: bool) -> int:
         params, constants, n_shells=shells["n_shells"],
         directions=None if shells["directions"] == "axes" else shells["directions"],
         coverage=shells["coverage"])
-    out = _outdir(cfg)
+    grid_var = [oscillator.coordinate_axis_variance(grid, params, a) for a in np.eye(3)]
+    _check(lambda d: min(grid_var) > 0, "directions whose modes drive every axis")(
+        shells["directions"], "shells.directions")
     ens = oscillator.coordinate_ensemble(
         cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
-    ens.to_csv(out / "coordinates.csv")
-    grid_var = [oscillator.coordinate_axis_variance(grid, params, a) for a in np.eye(3)]
     axis_moments = [stats.moments(ens.values[:, i]) for i in range(3)]
     emp_var = [rep.variance for rep in axis_moments]
     ks_axes = [
@@ -301,39 +296,37 @@ def cmd_oscillator(cfg, as_json: bool) -> int:
         "bohr_radius_sq_predicted": oscillator.bohr_radius_sq(params, constants),
         "bohr_radius_sq_empirical": float(np.mean(np.sum(ens.values[:, :2] ** 2, axis=1))),
         "resonance_integral": {"quadrature": quad_value, "closed_form": closed},
-        "files": ["coordinates.csv"],
     }
-    return _finish(cfg, out, summary, as_json)
+    return summary, {"coordinates.csv": ens.to_csv}
 
 
-def cmd_figure1(cfg, as_json: bool) -> int:
+def cmd_figure1(cfg):
     level, alpha, amplitude = cfg["level"], cfg["alpha"], cfg["amplitude"]
     _check(lambda n: n <= dists.HERMITE_MAX_LEVEL,
            f"<= {dists.HERMITE_MAX_LEVEL}, the Hermite recurrence's cap")(level, "level")
-    out = _outdir(cfg)
     x_cl = np.linspace(-1.2 * amplitude, 1.2 * amplitude, cfg["points"])
-    stats.write_csv(out / "classical_pdf.csv", "classical oscillator pdf", ("x", "pdf"),
-                    np.column_stack([x_cl, classical_oscillator_pdf(x_cl, amplitude)]),
-                    {"amplitude": amplitude})
-    stats.write_csv(out / f"quantum_pdf_n{level}.csv", "quantum oscillator pdf", ("x", "pdf"),
-                    np.column_stack([x_cl, quantum_oscillator_pdf(level, x_cl, alpha)]),
-                    {"level": level, "alpha": alpha})
     x_g = np.linspace(-4.0, 4.0, cfg["points"])
-    stats.write_csv(out / "ground_state_pdf.csv", "quantum oscillator pdf", ("x", "pdf"),
-                    np.column_stack([x_g, quantum_oscillator_pdf(0, x_g, 1.0)]),
-                    {"alpha": 1.0})
     wave = hermite_function(level, alpha * x_cl)
     zeros = int(np.sum(np.sign(wave[1:]) * np.sign(wave[:-1]) < 0))
     summary = {
         "level": level, "alpha": alpha, "amplitude": amplitude,
         "interior_zeros": zeros,
         "classical_pdf_at_0": float(classical_oscillator_pdf(0.0, amplitude)),
-        "files": ["classical_pdf.csv", f"quantum_pdf_n{level}.csv", "ground_state_pdf.csv"],
     }
-    return _finish(cfg, out, summary, as_json)
+    return summary, {
+        "classical_pdf.csv": _csv("classical oscillator pdf", ("x", "pdf"),
+                                  [x_cl, classical_oscillator_pdf(x_cl, amplitude)],
+                                  {"amplitude": amplitude}),
+        f"quantum_pdf_n{level}.csv": _csv("quantum oscillator pdf", ("x", "pdf"),
+                                          [x_cl, quantum_oscillator_pdf(level, x_cl, alpha)],
+                                          {"level": level, "alpha": alpha}),
+        "ground_state_pdf.csv": _csv("quantum oscillator pdf", ("x", "pdf"),
+                                     [x_g, quantum_oscillator_pdf(0, x_g, 1.0)],
+                                     {"alpha": 1.0}),
+    }
 
 
-def cmd_generating(cfg, as_json: bool) -> int:
+def cmd_generating(cfg):
     constants = PhysicalConstants(**cfg["constants"])
     direction = np.asarray(cfg["direction"])
     spec = cfg["grid"]
@@ -346,32 +339,29 @@ def cmd_generating(cfg, as_json: bool) -> int:
         grids = [build_grid(spec["box_side"] * f ** (1.0 / 3.0), cutoff, constants)
                  for f in cfg["density_factors"]]
         labels = [f"density_{i}" for i in range(len(grids))]
-    out = _outdir(cfg)
     sigma_e = total_field_sigma(cutoff, constants)
     s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
-    rows, files = [], []
+    rows, files = [], {}
     for label, grid in zip(labels, grids):
         gb = boyer_generating(s, direction, grid)
         g_lat = gaussian_generating(s, np.sqrt(grid.component_variance(direction)))
         g_cont = gaussian_generating(s, sigma_e)
         dev = np.abs(gb - g_lat)
-        name = f"generating_{label}.csv"
-        stats.write_csv(out / name, "generating function",
-                        ("s", "bessel_product", "gaussian_lattice", "gaussian_continuum",
-                         "deviation"),
-                        np.column_stack([s, gb, g_lat, g_cont, dev]),
-                        {"n_modes": len(grid), "direction": direction.tolist()})
-        files.append(name)
+        files[f"generating_{label}.csv"] = _csv(
+            "generating function",
+            ("s", "bessel_product", "gaussian_lattice", "gaussian_continuum", "deviation"),
+            [s, gb, g_lat, g_cont, dev],
+            {"n_modes": len(grid), "direction": direction.tolist()})
         rows.append({"label": label, "n_modes": len(grid),
                      "max_deviation": float(np.max(dev)),
                      "max_deviation_continuum": float(np.max(np.abs(gb - g_cont)))})
-    summary = {"sigma_e": sigma_e, "sweep": rows, "files": files}
+    summary = {"sigma_e": sigma_e, "sweep": rows}
     if len(rows) > 1:
         summary["deviation_ratios"] = [
             rows[i]["max_deviation"] / rows[i + 1]["max_deviation"]
             for i in range(len(rows) - 1)
         ]
-    return _finish(cfg, out, summary, as_json)
+    return summary, files
 
 
 # -------------------------------------------------------------- entry point
@@ -383,6 +373,23 @@ COMMANDS = {
     "figure1": cmd_figure1,
     "generating": cmd_generating,
 }
+
+
+def run(cfg, as_json: bool) -> int:
+    """The one run writer: cfg's command only computes (summary, files),
+    files mapping each output file name, in order, to the call that writes
+    it; only then is cfg["out"] made and every file written into it."""
+    summary, files = COMMANDS[cfg["command"]](cfg)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    summary["files"] = list(files)
+    (out / "manifest.json").write_text(json.dumps(cfg, indent=1))
+    (out / "report.json").write_text(json.dumps(summary, indent=1))
+    print(json.dumps(summary) if as_json
+          else "\n".join(f"{key}: {value}" for key, value in summary.items()))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,8 +414,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # a usage error exits 1, not argparse's 2; --help 0
         return 1 if exc.code else 0
     try:
-        cfg = resolve(args)
-        return COMMANDS[args.command](cfg, args.as_json)
+        return run(resolve(args), args.as_json)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

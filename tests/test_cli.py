@@ -115,12 +115,17 @@ class TestValidation:
         ("generating", '{"density_factors": [-1]}', "'density_factors[0]'"),
         ("generating", '{"command": "figure1"}', "'command'"),
         ("sample-mode", '{"seed": "5"}', "'seed'"),
+        # a target with zero variance fails before sampling
+        ("total-field", '{"grid": {"kvectors": [[0, 0, 1]], "volume": 1}, '
+         '"component": [0, 0, 1]}', "'component'"),
+        ("oscillator", '{"constants": {"electron_charge": 0.01}, '
+         '"shells": {"n_shells": 8, "directions": [[0, 0, 1]]}}', "'shells.directions'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
             "box_side_null", "box_side_text", "grid_null", "volume_missing", "base_panels",
             "directions", "from_constants", "density_empty", "density_negative", "command",
-            "seed_text"])
+            "seed_text", "component_zero_variance", "directions_zero_variance"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -135,6 +140,17 @@ class TestValidation:
         assert field in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_out_is_not_a_file(self, tmp_path, capsys):
+        """--out naming a file, a path under one or a dangling link exits 1
+        before the run."""
+        (tmp_path / "f").write_text("keep")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        for out in (tmp_path / "f", tmp_path / "f" / "o", tmp_path / "link"):
+            assert main(["figure1", "--seed", "1", "--out", str(out)]) == 1
+            assert "'out'" in capsys.readouterr().err
+        assert (tmp_path / "f").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "link"]
 
     @pytest.mark.parametrize("argv", [
         ["sample-mode", "--seed", "abc"],
@@ -161,6 +177,7 @@ class TestValidation:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: out of memory:") and size in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, keys, nested", [
         (["sample-mode", "--samples", "200"],
@@ -352,6 +369,7 @@ class TestOscillator:
         rc = main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o2")])
         assert rc == 2
         assert "converge" in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
 
 
 class TestFigure1:
@@ -479,6 +497,8 @@ def test_csv_files_contract(tmp_path, argv):
         assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
     names = read_report(a)["files"]
     assert names and all(name.endswith(".csv") for name in names)
+    assert sorted(p.name for p in a.iterdir()) == sorted([*names, "manifest.json",
+                                                          "report.json"])
     for name in names:
         lines = (a / name).read_text().splitlines()
         assert lines[0].startswith("# zpfsim ")
