@@ -276,6 +276,8 @@ def cmd_oscillator(cfg):
     grid_var = [oscillator.coordinate_axis_variance(grid, params, a) for a in np.eye(3)]
     _check(lambda d: min(grid_var) > 0, "directions whose modes drive every axis")(
         shells["directions"], "shells.directions")
+    # the quadrature can fail (exit 2): run it before the costly sampling
+    quad_value, closed = oscillator.resonance_integral(params, **cfg["quadrature"])
     ens = oscillator.coordinate_ensemble(
         cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
     axis_moments = [stats.moments(ens.values[:, i]) for i in range(3)]
@@ -284,7 +286,6 @@ def cmd_oscillator(cfg):
         stats.ks_test(ens.values[:, i], GaussianMode(np.sqrt(grid_var[i])).cdf, alpha=0.01)
         for i in range(3)
     ]
-    quad_value, closed = oscillator.resonance_integral(params, **cfg["quadrature"])
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid),
         "params": ens.meta["params"],

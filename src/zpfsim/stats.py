@@ -54,9 +54,10 @@ def moments(samples) -> MomentReport:
     n = x.size
     mean = float(np.mean(x))
     d = x - mean
-    m2 = float(np.mean(d**2))
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
+    d2 = d * d  # products, not d**3 and d**4: libm pow is about 20x slower
+    m2 = float(np.mean(d2))
+    m3 = float(np.mean(d2 * d))
+    m4 = float(np.mean(d2 * d2))
     variance = m2 * n / (n - 1)
     skewness = m3 / m2**1.5 if m2 > 0 else 0.0
     excess_kurtosis = m4 / m2**2 - 3.0 if m2 > 0 else 0.0

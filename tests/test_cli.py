@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zpfsim
+from zpfsim import kernels, oscillator, rng
 from zpfsim.cli import main
 from zpfsim.constants import PhysicalConstants
 
@@ -177,6 +178,28 @@ class TestValidation:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: out of memory:") and size in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("error, text", [
+        (MemoryError("no room"), "error: out of memory: no room"),
+        (ValueError("bad range"), "error: bad range"),
+    ], ids=["memory", "value"])
+    def test_worker_thread_error_exit_1(self, tmp_path, capsys, monkeypatch, error, text):
+        # three threads of 10 rows; the one that starts at row 10 fails
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(kernels, "MIN_ROWS", 10)
+        skip = rng.skip_uniforms
+
+        def skip_or_fail(gen, n):
+            if n == 10 * rng.BLOCK_NORMAL_PAIR:
+                raise error
+            return skip(gen, n)
+
+        monkeypatch.setattr(rng, "skip_uniforms", skip_or_fail)
+        rc = main(["total-field", "--seed", "1", "--kind", "modified", "--samples", "30",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == text
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, keys, nested", [
@@ -360,12 +383,15 @@ class TestOscillator:
             assert text in err
         assert not (tmp_path / "o").exists()
 
-    def test_convergence_failure_exit_2(self, tmp_path, capsys):
+    def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = self.config(
             tmp_path, samples=100,
             oscillator={"nu0": 1.0, "gamma": 1e-9, "gamma_prime": 1.0, "mass": 1.0},
             quadrature={"base_panels": 1, "window_scale": 1e-4},
         )
+        # the quadrature fails before any sampling
+        monkeypatch.setattr(oscillator, "coordinate_ensemble",
+                            lambda *a, **k: pytest.fail("sampled before the quadrature"))
         rc = main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o2")])
         assert rc == 2
         assert "converge" in capsys.readouterr().err

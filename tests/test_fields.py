@@ -140,7 +140,8 @@ class TestSampleModeBatch:
             assert batch.values[0] == pytest.approx(slow, rel=1e-12)
 
     def test_partition_independent(self, small_grid):
-        # the 70 000-sample splits cross the mode sum's 32 768-row chunks
+        # the 70 000-sample splits cross the mode sum's 8192-row chunks and,
+        # with two or more CPUs, the row ranges of its threads
         for kind, n, cut in (("modified", 50, 20), ("boyer", 70_000, 40_000),
                              ("modified", 70_000, 40_000)):
             full = sample_mode_batch(kind, small_grid, 3, ORIGIN, 0.0, n, 9).values

@@ -4,9 +4,14 @@
 realization range ``[0, n)`` into ``(start, n_i)`` pieces, or changing the
 chunk size, must give the same array, and row 0 must agree with the slow
 path (draw_realization), which anchors the stream positions themselves.
+Nor may the number of threads a mode sum splits its rows over change them.
 """
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +26,7 @@ from zpfsim import (
     sample_field_batch,
     sample_mode_batch,
 )
+from zpfsim import kernels
 from zpfsim.constants import PhysicalConstants
 
 CONSTS = PhysicalConstants()
@@ -83,3 +89,50 @@ def test_coordinate_ensemble_split_and_chunk_invariant(kind, seed, split, chunk)
     slow = coordinate_sample(draw_realization(kind, GRID, seed), GRID, PARAMS, T)
     scale = np.abs(full).max() + np.abs(slow).max()
     assert np.allclose(full[0], slow, rtol=1e-10, atol=1e-12 * scale)
+
+
+# 50 rows in chunks of 7: the cuts at 25 (two threads) and at 16 and 33
+# (three threads) all fall inside a chunk of the one-thread sum
+THREAD_N, THREAD_CHUNK, THREAD_START = 50, 7, 4
+
+
+@pytest.mark.parametrize("kind", ["boyer", "modified"])
+@pytest.mark.parametrize("modes", [None, [11]], ids=["all-modes", "single-mode"])
+def test_mode_sum_thread_invariant(monkeypatch, kind, modes):
+    gen = np.random.default_rng(3)
+    shape = (5, 3) if modes is None else (1, 1)
+    coef_a, coef_b = gen.normal(size=shape), gen.normal(size=shape)
+    ranges = []
+    sum_rows = kernels._sum_rows
+
+    def traced(out, normal, coef_a, coef_b, streams, seed, start, chunk):
+        sum_rows(out, normal, coef_a, coef_b, streams, seed, start, chunk)
+        ranges.append((start - THREAD_START, len(out), threading.get_ident()))
+
+    monkeypatch.setattr(kernels, "_sum_rows", traced)
+    monkeypatch.setattr(kernels, "MIN_ROWS", 8)
+    threads = threading.active_count()
+
+    def mode_sum(n, start):
+        return kernels.mode_sum(kind, coef_a, coef_b, n, 9, start, THREAD_CHUNK, modes)
+
+    rows = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        ranges.clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+        try:
+            rows[workers] = mode_sum(THREAD_N, THREAD_START)
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == threads
+        assert len(ranges) == workers
+        # the calling thread sums the first range and pool threads the rest
+        assert [ident == threading.get_ident() for _, _, ident in sorted(ranges)] == \
+            [True] + [False] * (workers - 1)
+        assert np.array_equal(rows[workers], rows[1])
+        cuts = sorted(lo for lo, _, _ in ranges)[1:]
+        assert all(cut % THREAD_CHUNK for cut in cuts)
+        for j in (j for cut in cuts for j in (cut - 1, cut)):
+            assert np.array_equal(mode_sum(1, THREAD_START + j)[0], rows[workers][j])

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from zpfsim import rng
+from zpfsim import kernels, rng
 
 
 class TestStreams:
@@ -47,3 +52,55 @@ class TestBoxMuller:
             assert abs(np.var(x) - 1.0) < 0.02
         # independence
         assert abs(np.mean(u * v)) < 5 / np.sqrt(u.size)
+
+
+class TestModeSum:
+    def test_worker_error_reraised_after_all_ranges(self, monkeypatch):
+        # three ranges of 10 rows; the one that starts at row 10 fails
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(kernels, "MIN_ROWS", 10)
+        skip = rng.skip_uniforms
+
+        def skip_or_fail(gen, n):
+            if n == 10 * rng.BLOCK_NORMAL_PAIR:
+                raise MemoryError("no room for range 2")
+            return skip(gen, n)
+
+        monkeypatch.setattr(rng, "skip_uniforms", skip_or_fail)
+        finished = []
+        sum_rows = kernels._sum_rows
+
+        def traced(out, *args):
+            sum_rows(out, *args)
+            finished.append(len(out))
+
+        monkeypatch.setattr(kernels, "_sum_rows", traced)
+        threads = threading.active_count()
+        coef = np.ones((4, 3))
+        with pytest.raises(MemoryError, match="no room for range 2"):
+            kernels.mode_sum("modified", coef, coef, 30, 1, 0, 4)
+        assert sorted(finished) == [10, 10]  # the other two ranges ran to the end
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_one_cpu_sums_serially(self):
+        code = (
+            "import os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
+            "from zpfsim import kernels\n"
+            "sum_rows, calls = kernels._sum_rows, []\n"
+            "def traced(out, *args):\n"
+            "    calls.append(threading.get_ident())\n"
+            "    sum_rows(out, *args)\n"
+            "kernels._sum_rows = traced\n"
+            "coef = np.ones((2, 3))\n"
+            "kernels.mode_sum('boyer', coef, coef, 4 * kernels.MIN_ROWS, 1, 0, kernels.CHUNK)\n"
+            "print(kernels.WORKERS, calls == [threading.get_ident()], threading.active_count())\n"
+        )
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout.split() == ["1", "True", "1"]

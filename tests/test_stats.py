@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,17 @@ class TestMoments:
         for field in ("mean", "variance", "skewness", "excess_kurtosis"):
             assert getattr(a, field) == pytest.approx(getattr(b, field),
                                                       rel=1e-12, abs=1e-12)
+
+    def test_higher_moments_match_exact_sums(self):
+        # lognormal: skewness and kurtosis of order 1, far from 0
+        x = np.exp(0.5 * normal_samples(10_007, 5))
+        n = x.size
+        mean = math.fsum(x) / n
+        d = [v - mean for v in x.tolist()]
+        m2, m3, m4 = (math.fsum(v**p for v in d) / n for p in (2, 3, 4))
+        rep = moments(x)
+        assert rep.skewness == pytest.approx(m3 / m2**1.5, rel=1e-13)
+        assert rep.excess_kurtosis == pytest.approx(m4 / m2**2 - 3.0, rel=1e-13)
 
     def test_scale_equivariant(self):
         x = normal_samples(500, 4)
