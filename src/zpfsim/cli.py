@@ -39,12 +39,11 @@ from .dists import (
     InsufficientRangeError,
     boyer_generating,
     classical_oscillator_pdf,
-    gaussian_generating,
     hermite_function,
     quantum_oscillator_pdf,
     total_field_sigma,
 )
-from .lattice import ModeGrid, build_grid, grid_from_kvectors, unit_vector
+from .lattice import EmptyGridError, ModeGrid, build_grid, grid_from_kvectors, unit_vector
 from .oscillator import ConvergenceError, OscillatorParams
 
 
@@ -78,8 +77,10 @@ def _dir_path(v) -> bool:   # a directory, or a path mkdir can make one
 
 
 def _point(v, nonzero=False) -> bool:   # nonzero: can be normalized
-    return (isinstance(v, list) and len(v) == 3 and all(map(_number, v))
-            and (not nonzero or 0.0 < np.linalg.norm(v) < np.inf))
+    if not (isinstance(v, list) and len(v) == 3 and all(map(_number, v))):
+        return False
+    with np.errstate(over="ignore", under="ignore"):
+        return not nonzero or 0.0 < np.linalg.norm(v) < np.inf
 
 
 def _int(minimum):
@@ -118,7 +119,8 @@ def _grid(box_side, omega_cutoff):
 REAL = _check(_number, "a finite real number", float)
 POSITIVE = _check(lambda v: _number(v) and v > 0, "a finite real number > 0", float)
 POINT = _check(_point, "three finite real numbers", lambda v: list(map(float, v)))
-DIRECTION = _check(lambda v: _point(v, nonzero=True), "three finite real numbers, not all zero",
+DIRECTION = _check(lambda v: _point(v, nonzero=True),
+                   "three finite real numbers whose squared length is a finite nonzero double",
                    lambda v: list(map(float, v)))
 SAMPLING = dict(
     kind=("modified", _choice("boyer", "modified")),
@@ -205,11 +207,22 @@ def _resolve(spec, given, prefix="", root=None) -> dict:
     return out
 
 
-def _mode_grid(spec, constants) -> ModeGrid:
+def _mode_grid(spec, constants, scale=1.0, fields="field 'grid' gives") -> ModeGrid:
+    """spec's custom grid, or its lattice with the box side times scale."""
     if "kvectors" in spec:
         return grid_from_kvectors(spec["kvectors"], spec["volume"], constants,
                                   polarizations=spec["polarizations"])
-    return build_grid(spec["box_side"], spec["omega_cutoff"], constants)
+    try:
+        return build_grid(spec["box_side"] * scale, spec["omega_cutoff"], constants)
+    except EmptyGridError as exc:
+        raise ConfigError(f"{fields} an {exc}") from exc
+
+
+def _fit(values, **laws):
+    """values' moments and a KS test at alpha = 0.01 against each named law."""
+    return {"moments": stats.moments(values).to_dict(),
+            **{f"ks_{name}": stats.ks_test(values, law.cdf, alpha=0.01).to_dict()
+               for name, law in laws.items()}}
 
 
 def _csv(title, names, columns, meta):
@@ -226,14 +239,9 @@ def cmd_sample_mode(cfg):
     batch = fields.sample_mode_batch(
         cfg["kind"], grid, mode_index, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
     sigma = float(grid.sigma[mode_index])
-    rep = stats.moments(batch.values)
-    ks_gauss = stats.ks_test(batch.values, GaussianMode(sigma).cdf, alpha=0.01)
-    ks_arcs = stats.ks_test(batch.values, Arcsine(np.sqrt(2.0) * sigma).cdf, alpha=0.01)
-    summary = {
-        "kind": cfg["kind"], "mode_index": mode_index, "sigma": sigma,
-        "moments": rep.to_dict(), "ks_gaussian": ks_gauss.to_dict(),
-        "ks_arcsine": ks_arcs.to_dict(),
-    }
+    summary = {"kind": cfg["kind"], "mode_index": mode_index, "sigma": sigma,
+               **_fit(batch.values, gaussian=GaussianMode(sigma),
+                      arcsine=Arcsine(np.sqrt(2.0) * sigma))}
     return summary, {"samples.csv": batch.to_csv}
 
 
@@ -246,14 +254,10 @@ def cmd_total_field(cfg):
     batch = fields.sample_field_batch(
         cfg["kind"], grid, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
     values = batch.values @ component
-    rep = stats.moments(values)
-    ks = stats.ks_test(values, GaussianMode(sigma_comp).cdf, alpha=0.01)
     span = 5.0 * sigma_comp
     edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
-    summary = {
-        "kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
-        "moments": rep.to_dict(), "ks_gaussian": ks.to_dict(),
-    }
+    summary = {"kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
+               **_fit(values, gaussian=GaussianMode(sigma_comp))}
     return summary, {"histogram.csv": _csv(
         "histogram", ("bin_left", "bin_right", "density"), [edges[:-1], edges[1:], dens],
         {"kind": cfg["kind"], "component": component.tolist()})}
@@ -280,20 +284,16 @@ def cmd_oscillator(cfg):
     quad_value, closed = oscillator.resonance_integral(params, **cfg["quadrature"])
     ens = oscillator.coordinate_ensemble(
         cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
-    axis_moments = [stats.moments(ens.values[:, i]) for i in range(3)]
-    emp_var = [rep.variance for rep in axis_moments]
-    ks_axes = [
-        stats.ks_test(ens.values[:, i], GaussianMode(np.sqrt(grid_var[i])).cdf, alpha=0.01)
-        for i in range(3)
-    ]
+    fits = [_fit(ens.values[:, i], gaussian=GaussianMode(np.sqrt(grid_var[i])))
+            for i in range(3)]
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid),
         "params": ens.meta["params"],
         "predicted_variance": oscillator.predicted_variance(params, constants),
         "grid_variance_per_axis": grid_var,
-        "empirical_variance_per_axis": emp_var,
-        "moments_per_axis": [rep.to_dict() for rep in axis_moments],
-        "ks_gaussian_per_axis": [k.to_dict() for k in ks_axes],
+        "empirical_variance_per_axis": [fit["moments"]["variance"] for fit in fits],
+        "moments_per_axis": [fit["moments"] for fit in fits],
+        "ks_gaussian_per_axis": [fit["ks_gaussian"] for fit in fits],
         "bohr_radius_sq_predicted": oscillator.bohr_radius_sq(params, constants),
         "bohr_radius_sq_empirical": float(np.mean(np.sum(ens.values[:, :2] ** 2, axis=1))),
         "resonance_integral": {"quadrature": quad_value, "closed_form": closed},
@@ -337,16 +337,17 @@ def cmd_generating(cfg):
     else:
         cutoff = spec["omega_cutoff"]
         # mode density scales with volume: factor f multiplies L^3
-        grids = [build_grid(spec["box_side"] * f ** (1.0 / 3.0), cutoff, constants)
-                 for f in cfg["density_factors"]]
+        grids = [_mode_grid(spec, constants, f ** (1.0 / 3.0),
+                            f"fields 'grid' and 'density_factors[{i}]' give")
+                 for i, f in enumerate(cfg["density_factors"])]
         labels = [f"density_{i}" for i in range(len(grids))]
     sigma_e = total_field_sigma(cutoff, constants)
     s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
     rows, files = [], {}
     for label, grid in zip(labels, grids):
         gb = boyer_generating(s, direction, grid)
-        g_lat = gaussian_generating(s, np.sqrt(grid.component_variance(direction)))
-        g_cont = gaussian_generating(s, sigma_e)
+        g_lat = GaussianMode(np.sqrt(grid.component_variance(direction)))(s)
+        g_cont = GaussianMode(sigma_e)(s)
         dev = np.abs(gb - g_lat)
         files[f"generating_{label}.csv"] = _csv(
             "generating function",

@@ -190,14 +190,6 @@ def lattice_gaussian_generating(s, s_direction, grid: ModeGrid):
 
 
 @dataclass(frozen=True)
-class GaussianGF:
-    sigma: float
-
-    def __call__(self, s):
-        return gaussian_generating(s, self.sigma)
-
-
-@dataclass(frozen=True)
 class BesselProductGF:
     grid: ModeGrid
     s_direction: tuple = (0.0, 0.0, 1.0)
@@ -225,10 +217,8 @@ def _chirp_z(a, s, x0: float, dx: float, m: int) -> np.ndarray:
 
 
 def _is_uniform(x: np.ndarray) -> bool:
-    """True when x has at least two points and each x_m lies within 1e-12
-    of the span from x_0 + m dx, dx = (x_{M-1} - x_0) / (M - 1)."""
-    if x.size < 2:
-        return False
+    """True when each x_m of an x grid lies within 1e-12 of the span from
+    x_0 + m dx, dx = (x_{M-1} - x_0) / (M - 1)."""
     span = x[-1] - x[0]
     ideal = x[0] + np.arange(x.size) * (span / (x.size - 1))
     return bool(np.max(np.abs(x - ideal)) <= 1e-12 * abs(span))
@@ -237,7 +227,9 @@ def _is_uniform(x: np.ndarray) -> bool:
 def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
                           decay_tol: float = 1e-10) -> np.ndarray:
     """Recover a density from its generating function by discretized
-    quadrature of the inverse transform over s in [-s_max, s_max].
+    quadrature of the inverse transform over s in [-s_max, s_max], s_max
+    finite and > 0, on a 1-D, finite, strictly increasing x grid of at
+    least 2 points.
 
     On a uniform x grid of M points (every ``np.linspace`` grid) the
     trapezoid sum over the n_s nodes is a chirp-z transform, evaluated by
@@ -253,7 +245,13 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
     """
     if n_s < 2:
         raise ValueError("n_s must be at least 2")
+    if not (np.isfinite(s_max) and s_max > 0.0):
+        raise ValueError(f"s_max must be finite and > 0, got {s_max!r}")
     x_grid = np.asarray(x_grid, dtype=float)
+    if not (x_grid.ndim == 1 and x_grid.size >= 2 and np.all(np.isfinite(x_grid))
+            and np.all(np.diff(x_grid) > 0.0)):
+        raise ValueError("x_grid must be 1-D, finite, strictly increasing and at least "
+                         f"2 points long, got shape {x_grid.shape}")
     ds = 2.0 * s_max / (n_s - 1)
     # exactly antisymmetric (np.linspace is not), so an even gf sees each
     # |s| twice and can evaluate it once
@@ -287,6 +285,8 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
 
 @dataclass(frozen=True)
 class GaussianMode:
+    """Centered normal law: pdf, cdf, and its generating function as a call."""
+
     sigma: float
 
     def pdf(self, x):
@@ -294,6 +294,12 @@ class GaussianMode:
 
     def cdf(self, x):
         return gaussian_cdf(x, self.sigma)
+
+    def __call__(self, s):
+        return gaussian_generating(s, self.sigma)
+
+
+GaussianGF = GaussianMode  # the name generating-function callers use
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,14 @@ class EmptyGridError(ValueError):
 
 
 def unit_vector(direction) -> np.ndarray:
-    """direction / |direction| for three finite components, not all zero."""
+    """direction / |direction| for three finite components whose squared
+    length neither overflows nor underflows to zero."""
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
     if not (np.isfinite(norm) and norm > 0.0):
-        raise ValueError(
-            f"direction must be three finite numbers, not all zero, got {d.tolist()}")
+        raise ValueError(f"direction must be three finite numbers whose squared length "
+                         f"is a finite nonzero double, got {d.tolist()}")
     return d / norm
 
 
@@ -121,6 +123,16 @@ class ModeGrid:
     def __len__(self) -> int:
         return self.omega.shape[0]
 
+    @classmethod
+    def from_wavevectors(cls, k, omega, sigma, eps, polarizations=(1, 2), **fields):
+        """The one row layout: k, omega, sigma and the pair eps = (eps1, eps2)
+        hold one entry per wavevector, and row i is wavevector i // P with
+        polarization polarizations[i % P]."""
+        pol = np.asarray(polarizations, dtype=np.int64)
+        return cls(k=np.repeat(k, pol.size, axis=0), lam=np.tile(pol, len(omega)),
+                   eps=np.stack(eps, axis=1)[:, pol - 1].reshape(-1, 3),
+                   omega=np.repeat(omega, pol.size), sigma=np.repeat(sigma, pol.size), **fields)
+
     @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -169,19 +181,12 @@ def build_grid(box_side: float, omega_cutoff: float,
         )
     k = n * dk
     kn = np.linalg.norm(k, axis=1)
-    khat = k / kn[:, None]
     omega = constants.c * kn
     volume = box_side**3
-    sigma = mode_sigma(omega, volume, constants)
-    # interleave (n, lambda=1), (n, lambda=2) keeping lexicographic n order
-    return ModeGrid(
-        k=np.repeat(k, 2, axis=0), lam=np.tile(np.array([1, 2], dtype=np.int64), n.shape[0]),
-        eps=np.stack(_transverse_basis(khat), axis=1).reshape(-1, 3),
-        omega=np.repeat(omega, 2), sigma=np.repeat(sigma, 2),
-        constants=constants, grid_type="lattice",
-        box_side=float(box_side), volume=float(volume),
-        omega_cutoff=float(omega_cutoff),
-    )
+    return ModeGrid.from_wavevectors(
+        k, omega, mode_sigma(omega, volume, constants), _transverse_basis(k / kn[:, None]),
+        constants=constants, grid_type="lattice", box_side=float(box_side),
+        volume=float(volume), omega_cutoff=float(omega_cutoff))
 
 
 def grid_from_kvectors(k_vectors, volume: float,
@@ -202,16 +207,9 @@ def grid_from_kvectors(k_vectors, volume: float,
     polarizations = tuple(polarizations)
     if not polarizations or any(p not in (1, 2) for p in polarizations):
         raise ValueError("polarizations must be a nonempty subset of (1, 2)")
-    pol = np.array(polarizations, dtype=np.int64)
-    # rows kv[0] x polarizations, kv[1] x polarizations, ...
-    k = np.repeat(kv, pol.size, axis=0)
-    eps = np.stack(polarization_basis(kv), axis=1)[:, pol - 1].reshape(-1, 3)
-    omega = constants.c * np.linalg.norm(k, axis=1)
-    sigma = mode_sigma(omega, volume, constants)
-    return ModeGrid(
-        k=k, lam=np.tile(pol, kv.shape[0]), eps=eps,
-        omega=omega, sigma=np.asarray(sigma, dtype=float),
-        constants=constants, grid_type="custom",
-        volume=float(volume), omega_cutoff=float(np.max(omega)),
-    )
+    omega = constants.c * norm
+    return ModeGrid.from_wavevectors(
+        kv, omega, mode_sigma(omega, volume, constants), polarization_basis(kv),
+        polarizations, constants=constants, grid_type="custom",
+        volume=float(volume), omega_cutoff=float(np.max(omega)))
 

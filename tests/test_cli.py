@@ -14,6 +14,11 @@ from zpfsim.cli import main
 from zpfsim.constants import PhysicalConstants
 
 
+EMPTY_LATTICE = '{"grid": {"box_side": 1.0, "omega_cutoff": 0.01}}'
+LENGTH_WORDING = ("'component' must be three finite real numbers whose squared length is "
+                  "a finite nonzero double")
+
+
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
@@ -121,12 +126,26 @@ class TestValidation:
          '"component": [0, 0, 1]}', "'component'"),
         ("oscillator", '{"constants": {"electron_charge": 0.01}, '
          '"shells": {"n_shells": 8, "directions": [[0, 0, 1]]}}', "'shells.directions'"),
+        # a lattice with no mode below the cutoff
+        ("sample-mode", EMPTY_LATTICE, "'grid'"),
+        ("total-field", EMPTY_LATTICE, "'grid'"),
+        ("generating", EMPTY_LATTICE, "error: fields 'grid' and 'density_factors[0]' give an "
+         "empty grid: smallest nonzero mode frequency 6.28319 exceeds cutoff 0.01"),
+        ("generating", '{"density_factors": [1.0, 1e-9]}', "'density_factors[1]'"),
+        # finite, nonzero vectors whose squared length overflows or underflows
+        ("total-field", '{"component": [1e300, 0, 0]}', LENGTH_WORDING),
+        ("total-field", '{"component": [1e-200, 0, 0]}', LENGTH_WORDING),
+        ("generating", '{"direction": [0, 1e300, 0]}', "'direction'"),
+        ("oscillator", '{"shells": {"directions": [[0, 0, 1e-200]]}}', "'shells.directions'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
             "box_side_null", "box_side_text", "grid_null", "volume_missing", "base_panels",
             "directions", "from_constants", "density_empty", "density_negative", "command",
-            "seed_text", "component_zero_variance", "directions_zero_variance"])
+            "seed_text", "component_zero_variance", "directions_zero_variance",
+            "empty_lattice_sample_mode", "empty_lattice_total_field",
+            "empty_lattice_generating", "density_empty_lattice", "component_overflow",
+            "component_underflow", "direction_overflow", "shell_direction_underflow"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -381,6 +400,15 @@ class TestOscillator:
         err = capsys.readouterr().err
         for text in ("Gamma*nu0 = 0.0531", "'constants.electron_charge'", "'shells.coverage'"):
             assert text in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
+        # the integrand overflows to nan at this omega_max: exit 2, not a NaN
+        # in report.json (the suite turns a numpy warning into a failure)
+        cfg = self.config(tmp_path, samples=100, quadrature={"omega_max": 1e150})
+        rc = main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "converge" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):

@@ -139,6 +139,13 @@ class TestQuantumOscillator:
 
 
 class TestGaussianMode:
+    def test_one_law(self):
+        # the generating function is a call on the same law object
+        s = np.linspace(-4.0, 4.0, 33)
+        assert GaussianGF is GaussianMode
+        assert np.array_equal(GaussianMode(0.7)(s), gaussian_generating(s, 0.7))
+        assert GaussianMode(0.7)(1.3) == gaussian_generating(1.3, 0.7)
+
     def test_center(self):
         assert gaussian_mode_pdf(0.0, 1.0) == pytest.approx(1 / np.sqrt(2 * np.pi))
 
@@ -355,6 +362,20 @@ class TestInversion:
         with pytest.raises(InsufficientRangeError, match="insufficient s-range"):
             invert_characteristic(lambda s: np.ones_like(s),
                                   np.linspace(-1, 1, 11), s_max=5.0)
+
+    @pytest.mark.parametrize("x_grid, s_max, name", [
+        (np.linspace(1.0, -1.0, 11), 5.0, "x_grid"),
+        ([0.0], 5.0, "x_grid"),
+        ([-1.0, np.nan, 1.0], 5.0, "x_grid"),
+        (np.zeros((3, 4)), 5.0, "x_grid"),
+        (np.linspace(-1.0, 1.0, 11), -8.0, "s_max"),
+        (np.linspace(-1.0, 1.0, 11), np.inf, "s_max"),
+    ], ids=["descending", "one_point", "nan", "two_d", "negative_s_max", "infinite_s_max"])
+    def test_bad_argument_is_named(self, x_grid, s_max, name):
+        # InsufficientRangeError is a ValueError too, so check the class
+        with pytest.raises(ValueError, match=name) as info:
+            invert_characteristic(GaussianGF(1.0), x_grid, s_max=s_max)
+        assert not isinstance(info.value, InsufficientRangeError)
 
     def test_single_mode_bessel_recovers_arcsine(self):
         # Bessel-product gf of one mode inverts to the arcsine density; the

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -12,7 +14,8 @@ from zpfsim import (
     resonance_shell_grid,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.lattice import ModeGrid
+from zpfsim.lattice import ModeGrid, unit_vector
+from zpfsim.oscillator import AXIS_DIRECTIONS, fibonacci_directions
 
 CONSTS = PhysicalConstants()
 WEAK = PhysicalConstants(electron_charge=0.01)
@@ -141,6 +144,57 @@ class TestBuildGrid:
         assert shells == ["f4807360b01eae9d", "f3d35d6d7efba51d", "885f8a35c42a2dea"]
 
 
+class TestRowLayout:
+    """Every builder lays out its rows one way: row i holds wavevector i // P,
+    with that wavevector's k, omega and sigma, and polarization pols[i % P]."""
+
+    @staticmethod
+    def assert_rows(grid, k, omega, sigma, pols):
+        wave, pol = np.divmod(np.arange(len(grid)), len(pols))
+        assert len(grid) == len(pols) * len(omega)
+        assert np.array_equal(grid.k, k[wave])
+        assert np.array_equal(grid.omega, omega[wave])
+        assert np.array_equal(grid.sigma, sigma[wave])
+        assert np.array_equal(grid.lam, np.asarray(pols)[pol])
+        basis = np.stack(polarization_basis(k), axis=1)   # (wavevector, eps1/eps2, xyz)
+        assert np.allclose(grid.eps, basis[wave, grid.lam - 1], rtol=0.0, atol=1e-15)
+
+    def test_lattice(self):
+        grid = build_grid(2 * np.pi, 2.5, CONSTS)   # dk = 1, |n| <= 2.5
+        k = np.array([n for n in itertools.product(range(-2, 3), repeat=3)
+                      if 0 < np.dot(n, n) <= 6.25], dtype=float)
+        omega = CONSTS.c * np.linalg.norm(k, axis=1)
+        self.assert_rows(grid, k, omega, mode_sigma(omega, grid.volume, CONSTS), [1, 2])
+
+    @pytest.mark.parametrize("pols", [[1], [2], [2, 1]])
+    def test_custom(self, pols):
+        kv = np.array([[0.0, 0.0, 1.5], [0.3, -1.2, 0.8], [0.0, 0.0, -2.0]])
+        grid = grid_from_kvectors(kv, volume=2.0, constants=CONSTS, polarizations=pols)
+        omega = CONSTS.c * np.linalg.norm(kv, axis=1)
+        self.assert_rows(grid, kv, omega, mode_sigma(omega, 2.0, CONSTS), pols)
+
+    @pytest.mark.parametrize("directions", [
+        None, 7, [[1.0, 2.0, 3.0], [0.0, 0.0, -1.0], [-1.0, 0.5, 0.0]],
+    ], ids=["axes", "count", "list"])
+    def test_shells(self, directions):
+        grid = resonance_shell_grid(OscillatorParams.from_constants(1.0, WEAK), WEAK,
+                                    n_shells=24, directions=directions)
+        if directions is None:
+            dirs = AXIS_DIRECTIONS
+        elif isinstance(directions, int):
+            dirs = fibonacci_directions(directions)
+        else:
+            dirs = np.array(directions) / np.linalg.norm(directions, axis=1)[:, None]
+        # wavevector j is shell j // n_dir in direction dirs[j % n_dir]; each
+        # shell's omega and sigma are read from the first row of its block
+        n_dir = len(dirs)
+        omega_s, sigma_s = grid.omega[::2 * n_dir], grid.sigma[::2 * n_dir]
+        assert omega_s.size == 24 and np.all(np.diff(omega_s) > 0)
+        k = ((omega_s / WEAK.c)[:, None, None] * dirs).reshape(-1, 3)
+        self.assert_rows(grid, k, np.repeat(omega_s, n_dir), np.repeat(sigma_s, n_dir),
+                         [1, 2])
+
+
 class TestModeSigma:
     def test_direct_substitution(self):
         assert mode_sigma(2.0, 1.0, CONSTS) == pytest.approx(1.0)
@@ -154,6 +208,15 @@ class TestModeSigma:
             mode_sigma(-1.0, 1.0, CONSTS)
         with pytest.raises(ValueError):
             mode_sigma(1.0, 0.0, CONSTS)
+
+
+class TestUnitVector:
+    @pytest.mark.parametrize("direction", [[1e300, 0.0, 0.0], [1e-200, 0.0, 0.0]],
+                             ids=["overflow", "underflow"])
+    def test_length_out_of_range(self, direction):
+        # finite and nonzero, but its squared length is not a nonzero double
+        with pytest.raises(ValueError, match="squared length is a finite nonzero double"):
+            unit_vector(direction)
 
 
 class TestPolarizationBasis:

@@ -276,6 +276,13 @@ class TestResonanceIntegral:
         with pytest.raises(ConvergenceError, match="converge"):
             resonance_integral(p, omega_max=50.0, base_panels=1, window_scale=1e-4)
 
+    def test_overflowing_cutoff_raises(self):
+        # the integrand overflows to inf and nan far above the line, and a nan
+        # change of the value must not pass the convergence test
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        with pytest.raises(ConvergenceError, match="converge"):
+            resonance_integral(p, omega_max=1e150)
+
     def test_cutoff_below_resonance_still_integrates(self):
         from scipy import integrate
         p = OscillatorParams(nu0=1.0, gamma=1e-3, gamma_prime=1.0, mass=1.0)
