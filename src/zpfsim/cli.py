@@ -43,7 +43,8 @@ from .dists import (
     quantum_oscillator_pdf,
     total_field_sigma,
 )
-from .lattice import EmptyGridError, ModeGrid, build_grid, grid_from_kvectors, unit_vector
+from .lattice import (EmptyGridError, ModeGrid, build_grid, grid_from_kvectors, unit_vector,
+                      vector_lengths)
 from .oscillator import ConvergenceError, OscillatorParams
 
 
@@ -79,8 +80,10 @@ def _dir_path(v) -> bool:   # a directory, or a path mkdir can make one
 def _point(v, nonzero=False) -> bool:   # nonzero: can be normalized
     if not (isinstance(v, list) and len(v) == 3 and all(map(_number, v))):
         return False
-    with np.errstate(over="ignore", under="ignore"):
-        return not nonzero or 0.0 < np.linalg.norm(v) < np.inf
+    try:
+        return not nonzero or vector_lengths(v, "point") > 0.0
+    except ValueError:
+        return False
 
 
 def _int(minimum):
@@ -128,7 +131,10 @@ SAMPLING = dict(
     # kept as given: report.json echoes an int electron_mass as an int
     constants=({}, _object({name: (value, _check(lambda v: _number(v) and v > 0,
                                                 "a finite real number > 0"))
-                           for name, value in PhysicalConstants().to_dict().items()})))
+                           for name, value in PhysicalConstants().to_dict().items()})),
+    # the stream layout that maps a seed to samples (README "Reproducibility"):
+    # a version stamp, not an option; a manifest of another layout is refused
+    rng_layout=(2, _choice(2)))
 FIELD = dict(SAMPLING, r=([0.0, 0.0, 0.0], POINT), t=(0.0, REAL), grid=_grid(2.0 * np.pi, 2.5))
 
 SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, _int(0)),

@@ -28,16 +28,29 @@ class EmptyGridError(ValueError):
     """Raised when no lattice mode satisfies the frequency cutoff."""
 
 
-def unit_vector(direction) -> np.ndarray:
-    """direction / |direction| for three finite components whose squared
-    length neither overflows nor underflows to zero."""
-    d = np.asarray(direction, dtype=float)
+def vector_lengths(v, what: str, rows: bool = False):
+    """np.linalg.norm of a 3-vector, or with rows of each row of an (m, 3)
+    array. The one length rule: a ValueError naming ``what`` (and the row)
+    unless every vector has three finite components whose squared length is
+    a finite nonzero double; an overflowing or underflowing square warns of
+    nothing."""
+    v = np.asarray(v, dtype=float)
+    if not (v.ndim == 1 + rows and v.shape[-1] == 3):
+        raise ValueError(f"{what} must be {'a list of 3-vectors' if rows else 'a 3-vector'}, "
+                         f"got an array of shape {v.shape}")
     with np.errstate(over="ignore", under="ignore"):
-        norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise ValueError(f"direction must be three finite numbers whose squared length "
-                         f"is a finite nonzero double, got {d.tolist()}")
-    return d / norm
+        norm = np.linalg.norm(v, axis=1 if rows else None)
+    bad = np.flatnonzero(~(np.isfinite(norm) & (norm > 0.0)))
+    if bad.size:
+        name, vec = (f"{what}[{bad[0]}]", v[bad[0]]) if rows else (what, v)
+        raise ValueError(f"{name} must be three finite numbers whose squared length is a "
+                         f"finite nonzero double, got {vec.tolist()}")
+    return norm
+
+
+def unit_vector(direction) -> np.ndarray:
+    """direction / |direction| under the rule of vector_lengths."""
+    return np.asarray(direction, dtype=float) / vector_lengths(direction, "direction")
 
 
 def mode_amplitudes(coef_a, coef_b, eps, direction) -> np.ndarray:
@@ -199,11 +212,7 @@ def grid_from_kvectors(k_vectors, volume: float,
     relaxed: any subset of (1, 2) may be requested per call.
     """
     kv = np.atleast_2d(np.asarray(k_vectors, dtype=float))
-    if kv.shape[1] != 3:
-        raise ValueError("k_vectors must be a list of 3-vectors")
-    norm = np.linalg.norm(kv, axis=1)
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
-        raise ValueError("k_vectors must be finite and nonzero (no zero wavevector)")
+    norm = vector_lengths(kv, "k_vectors", rows=True)
     polarizations = tuple(polarizations)
     if not polarizations or any(p not in (1, 2) for p in polarizations):
         raise ValueError("polarizations must be a nonempty subset of (1, 2)")

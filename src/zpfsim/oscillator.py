@@ -34,7 +34,7 @@ from .constants import PhysicalConstants
 from .dists import _gaussian_cf
 from .fields import (FieldRealization, SampleSet, observable_amplitudes, observe,
                      sample_observable)
-from .lattice import ModeGrid, polarization_basis
+from .lattice import ModeGrid, polarization_basis, vector_lengths
 
 RESONANCE_WARN = 1e-2
 QUADRATURE_REL_TOL = 1e-3  # largest change of resonance_integral on doubling panels
@@ -255,10 +255,7 @@ def resonance_shell_grid(p: OscillatorParams, constants: PhysicalConstants,
         dirs = fibonacci_directions(int(directions))
     else:
         dirs = np.asarray(directions, dtype=float)
-        norm = np.linalg.norm(dirs, axis=1) if dirs.ndim == 2 and dirs.shape[1] == 3 else None
-        if norm is None or not np.all(np.isfinite(norm) & (norm > 0.0)):
-            raise ValueError("directions must be a list of finite, nonzero 3-vectors")
-        dirs = dirs / norm[:, None]
+        dirs = dirs / vector_lengths(dirs, "directions", rows=True)[:, None]
     n_dir = dirs.shape[0]
 
     half_width = p.gamma * p.nu0**2 / 2.0

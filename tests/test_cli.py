@@ -137,6 +137,11 @@ class TestValidation:
         ("total-field", '{"component": [1e-200, 0, 0]}', LENGTH_WORDING),
         ("generating", '{"direction": [0, 1e300, 0]}', "'direction'"),
         ("oscillator", '{"shells": {"directions": [[0, 0, 1e-200]]}}', "'shells.directions'"),
+        # a manifest of another stream layout than this version produces
+        ("sample-mode", '{"rng_layout": 1}', "'rng_layout'"),
+        ("total-field", '{"rng_layout": 1}', "'rng_layout'"),
+        ("oscillator", '{"rng_layout": 3}', "'rng_layout'"),
+        ("total-field", '{"rng_layout": "2"}', "'rng_layout'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -145,7 +150,9 @@ class TestValidation:
             "seed_text", "component_zero_variance", "directions_zero_variance",
             "empty_lattice_sample_mode", "empty_lattice_total_field",
             "empty_lattice_generating", "density_empty_lattice", "component_overflow",
-            "component_underflow", "direction_overflow", "shell_direction_underflow"])
+            "component_underflow", "direction_overflow", "shell_direction_underflow",
+            "rng_layout_1_sample_mode", "rng_layout_1_total_field", "rng_layout_3_oscillator",
+            "rng_layout_text"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -223,14 +230,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("argv, keys, nested", [
         (["sample-mode", "--samples", "200"],
-         {"kind", "samples", "constants", "r", "t", "grid", "mode_index"},
-         {"grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
+         {"kind", "samples", "constants", "rng_layout", "r", "t", "grid", "mode_index"},
+         {"rng_layout": 2, "grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
         (["total-field", "--samples", "200"],
-         {"kind", "samples", "constants", "r", "t", "grid", "component", "bins"},
-         {"grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
+         {"kind", "samples", "constants", "rng_layout", "r", "t", "grid", "component",
+          "bins"},
+         {"rng_layout": 2, "grid": {"box_side": 2.0 * np.pi, "omega_cutoff": 2.5}}),
         (["oscillator", "--samples", "200", "--config", "osc.json"],
-         {"kind", "samples", "constants", "t", "oscillator", "shells", "quadrature"},
-         {"oscillator": {"from_constants": True, "nu0": 1.0},
+         {"kind", "samples", "constants", "rng_layout", "t", "oscillator", "shells",
+          "quadrature"},
+         {"rng_layout": 2, "oscillator": {"from_constants": True, "nu0": 1.0},
           "shells": {"n_shells": 8, "directions": "axes", "coverage": 0.999},
           "quadrature": {"omega_max": 50.0, "base_panels": 24, "window_scale": 50.0}}),
         (["figure1"], {"level", "alpha", "amplitude", "points"}, {}),

@@ -370,7 +370,9 @@ class TestInversion:
         (np.zeros((3, 4)), 5.0, "x_grid"),
         (np.linspace(-1.0, 1.0, 11), -8.0, "s_max"),
         (np.linspace(-1.0, 1.0, 11), np.inf, "s_max"),
-    ], ids=["descending", "one_point", "nan", "two_d", "negative_s_max", "infinite_s_max"])
+        (np.linspace(-1.0, 1.0, 11), 0.0, "s_max"),
+    ], ids=["descending", "one_point", "nan", "two_d", "negative_s_max", "infinite_s_max",
+            "zero_s_max"])
     def test_bad_argument_is_named(self, x_grid, s_max, name):
         # InsufficientRangeError is a ValueError too, so check the class
         with pytest.raises(ValueError, match=name) as info:

@@ -319,6 +319,16 @@ class TestCustomGrid:
         with pytest.raises(ValueError, match="k_vectors"):
             grid_from_kvectors([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]], volume=1.0)
 
+    @pytest.mark.parametrize("k", [[1e300, 0.0, 0.0], [0.0, 1e-200, 0.0]],
+                             ids=["overflow", "underflow"])
+    def test_length_out_of_range_is_named(self, k):
+        # a finite row whose squared length is not a nonzero double: the
+        # ValueError names the row, and numpy warns of nothing (warnings are
+        # errors here)
+        with pytest.raises(ValueError, match=r"k_vectors\[1\] must be three finite numbers "
+                                             "whose squared length"):
+            grid_from_kvectors([[0.0, 0.0, 1.0], k], volume=1.0)
+
     def test_rejects_bad_polarizations(self):
         with pytest.raises(ValueError):
             grid_from_kvectors([[0, 0, 1]], volume=1.0, polarizations=(3,))

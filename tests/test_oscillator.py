@@ -367,3 +367,12 @@ class TestShellGrid:
         p = OscillatorParams.from_constants(1.0, WEAK)
         with pytest.raises(ValueError, match="directions"):
             resonance_shell_grid(p, WEAK, n_shells=4, directions=directions)
+
+    @pytest.mark.parametrize("d", [[1e300, 0.0, 0.0], [0.0, 1e-200, 0.0]],
+                             ids=["overflow", "underflow"])
+    def test_direction_length_out_of_range_is_named(self, d):
+        # as for grid_from_kvectors: a ValueError naming the row, no numpy warning
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        with pytest.raises(ValueError, match=r"directions\[1\] must be three finite numbers "
+                                             "whose squared length"):
+            resonance_shell_grid(p, WEAK, n_shells=4, directions=[[0.0, 0.0, 1.0], d])

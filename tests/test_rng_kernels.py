@@ -36,6 +36,31 @@ class TestStreams:
         assert rng.check_seed(np.int64(3)) == 3
 
 
+class TestUnitCircle:
+    @staticmethod
+    def assert_on_circle(u):
+        c, s = rng.unit_circle(u)
+        angle = 2.0 * np.pi * np.asarray(u)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+        assert np.all(np.abs(c) <= 1.0) and np.all(np.abs(s) <= 1.0)
+        assert np.max(np.abs(c - np.cos(angle))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(angle))) <= 4.5e-16
+
+    def test_quarter_turns_and_last_uniform(self):
+        # u = 0.5 puts tan(pi u) at its largest, 1.6e16; 1 - 2^-53 is the
+        # largest uniform numpy draws
+        self.assert_on_circle(np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]))
+
+    def test_seeded_uniforms(self):
+        self.assert_on_circle(rng.mode_uniforms(5, 0, 1_000_000))
+
+    def test_scalar_and_strided_input(self):
+        u = rng.mode_uniforms(5, 1, 64).reshape(32, 2)
+        c, s = rng.unit_circle(u[:, 1])
+        for i in (0, 31):
+            assert np.array_equal(rng.unit_circle(u[i, 1]), (c[i], s[i]))
+
+
 class TestBoxMuller:
     def test_known_values(self):
         u, v = rng.boxmuller(0.5, 0.25)

@@ -73,6 +73,12 @@ class TestMoments:
             moments([1.0])
 
 
+    def test_constant_sample_has_zero_shape(self):
+        # m2 == 0: skewness and excess kurtosis are reported as 0, not 0/0
+        r = moments(np.full(100, 2.5))
+        assert (r.variance, r.skewness, r.excess_kurtosis) == (0.0, 0.0, 0.0)
+
+
 class TestKS:
     def test_critical_constants(self):
         assert ks_critical(0.01, 1) == pytest.approx(1.628, abs=5e-4)
@@ -149,6 +155,16 @@ class TestEmpiricalGenerating:
         expected = np.exp(-(s**2) / 2)
         assert np.all(np.abs(g.real - expected) < 4 * se)
         assert np.all(np.abs(g.imag) < 4 / np.sqrt(x.size))
+
+    def test_exponential_cf_imaginary_part(self):
+        # an asymmetric law tests the sign and argument of the sine term:
+        # mean(exp(-i s X)) = 1 / (1 + i s) for X ~ Exp(1)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+        x = gen.exponential(size=20_000)
+        s = np.array([0.5, 1.0, 2.0])
+        g, _ = empirical_generating(x, s)
+        se = np.std(np.sin(s[:, None] * x), axis=1, ddof=1) / np.sqrt(x.size)
+        assert np.all(np.abs(g.imag - (1.0 / (1.0 + 1j * s)).imag) < 5 * se)
 
 
 class TestWriteCsv:
