@@ -33,10 +33,8 @@ from .dists import (
     GaussianGF,
     GaussianMode,
     InsufficientRangeError,
-    arcsine_cdf,
     boyer_generating,
     classical_oscillator_pdf,
-    gaussian_generating,
     gaussian_mode_pdf,
     hermite_function,
     invert_characteristic,

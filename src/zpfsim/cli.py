@@ -259,7 +259,7 @@ def cmd_total_field(cfg):
         cfg["component"], "component")
     batch = fields.sample_field_batch(
         cfg["kind"], grid, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
-    values = batch.values @ component
+    values = np.ascontiguousarray(batch.values) @ component   # same bits as a C-order @
     span = 5.0 * sigma_comp
     edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
     summary = {"kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
@@ -338,6 +338,9 @@ def cmd_generating(cfg):
     direction = np.asarray(cfg["direction"])
     spec = cfg["grid"]
     if "kvectors" in spec:
+        default = SPECS["generating"]["density_factors"][0]   # lattice grids only
+        _check(lambda f: f == default, f"{default} with a custom grid")(cfg["density_factors"],
+                                                                        "density_factors")
         grids, labels = [_mode_grid(spec, constants)], ["custom"]
         cutoff = grids[0].omega_cutoff
     else:

@@ -24,7 +24,7 @@ from .fields import observable_amplitudes
 from .lattice import ModeGrid
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
-_BLOCK_ELEMENTS = 2**20  # size of the largest (rows x s) temporary in a blocked loop
+_BLOCK_ELEMENTS = 2**20  # size of the largest (|s| x A_k) temporary of the Bessel product
 
 
 class InsufficientRangeError(ValueError):
@@ -53,17 +53,6 @@ def classical_oscillator_pdf(x, amplitude: float):
     inside = np.abs(x) <= amplitude
     with np.errstate(divide="ignore"):
         out[inside] = 1.0 / (np.pi * np.sqrt(amplitude**2 - x[inside] ** 2))
-    return float(out) if out.ndim == 0 else out
-
-
-def arcsine_cdf(x, amplitude: float):
-    """Antiderivative of the classical-oscillator density:
-    (1/pi) arcsin(x/A) + 1/2, clamped to [0, 1] outside the support."""
-    if not amplitude > 0.0:
-        raise ValueError("amplitude must be strictly positive")
-    x = np.asarray(x, dtype=float)
-    z = np.clip(x / amplitude, -1.0, 1.0)
-    out = np.arcsin(z) / np.pi + 0.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -101,14 +90,6 @@ def gaussian_mode_pdf(e, sigma: float):
         raise ValueError("sigma must be strictly positive")
     e = np.asarray(e, dtype=float)
     out = np.exp(-(e**2) / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma**2)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_cdf(x, sigma: float):
-    if not sigma > 0.0:
-        raise ValueError("sigma must be strictly positive")
-    x = np.asarray(x, dtype=float)
-    out = ndtr(x / sigma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,11 +133,6 @@ def _gaussian_cf(s, var: float):
     s = np.asarray(s, dtype=float)
     out = np.exp(-(s**2) * var / 2.0)
     return float(out) if out.ndim == 0 else out
-
-
-def gaussian_generating(s, sigma: float):
-    """Characteristic function exp(-s^2 sigma^2 / 2) of a centered normal."""
-    return _gaussian_cf(s, sigma**2)
 
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
@@ -228,14 +204,13 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
                           decay_tol: float = 1e-10) -> np.ndarray:
     """Recover a density from its generating function by discretized
     quadrature of the inverse transform over s in [-s_max, s_max], s_max
-    finite and > 0, on a 1-D, finite, strictly increasing x grid of at
-    least 2 points.
+    finite and > 0, on a 1-D, finite, strictly increasing and evenly
+    spaced x grid of at least 2 points (every ``np.linspace`` grid).
 
-    On a uniform x grid of M points (every ``np.linspace`` grid) the
-    trapezoid sum over the n_s nodes is a chirp-z transform, evaluated by
-    FFT in O((M + n_s) log(M + n_s)) with O(M + n_s) memory. Any other x
-    grid gets the direct sum, in blocks of rows that hold about 2^20
-    elements each, so memory stays bounded there too.
+    The trapezoid sum over the n_s nodes is a chirp-z transform on the M
+    points of the x grid, evaluated by FFT in O((M + n_s) log(M + n_s))
+    with O(M + n_s) memory. An unevenly spaced x grid (one whose nodes lie
+    further than 1e-12 of the span from the even ones) is rejected.
 
     The caller supplies the range; if |g| at the range edge exceeds
     ``decay_tol`` the transform is untrustworthy and an
@@ -249,9 +224,9 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
         raise ValueError(f"s_max must be finite and > 0, got {s_max!r}")
     x_grid = np.asarray(x_grid, dtype=float)
     if not (x_grid.ndim == 1 and x_grid.size >= 2 and np.all(np.isfinite(x_grid))
-            and np.all(np.diff(x_grid) > 0.0)):
-        raise ValueError("x_grid must be 1-D, finite, strictly increasing and at least "
-                         f"2 points long, got shape {x_grid.shape}")
+            and np.all(np.diff(x_grid) > 0.0) and _is_uniform(x_grid)):
+        raise ValueError("x_grid must be 1-D, finite, strictly increasing, evenly spaced "
+                         f"and at least 2 points long, got shape {x_grid.shape}")
     ds = 2.0 * s_max / (n_s - 1)
     # exactly antisymmetric (np.linspace is not), so an even gf sees each
     # |s| twice and can evaluate it once
@@ -265,16 +240,8 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
         )
     wg = g * ds  # trapezoid weights: ds, ds/2 at both ends
     wg[[0, -1]] *= 0.5
-    if _is_uniform(x_grid):
-        dx = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)
-        pdf = _chirp_z(wg, s, x_grid[0], dx, x_grid.size).real
-    else:
-        pdf = np.empty_like(x_grid)
-        rows = max(1, _BLOCK_ELEMENTS // n_s)
-        for lo in range(0, x_grid.size, rows):
-            phase = np.outer(x_grid[lo:lo + rows], s)
-            pdf[lo:lo + rows] = np.cos(phase) @ wg.real - np.sin(phase) @ wg.imag
-    pdf /= 2.0 * np.pi
+    dx = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)
+    pdf = _chirp_z(wg, s, x_grid[0], dx, x_grid.size).real / (2.0 * np.pi)
     mass = np.trapezoid(pdf, x_grid)
     if not mass > 0.0:
         raise InsufficientRangeError("inverted density has non-positive mass")
@@ -293,10 +260,14 @@ class GaussianMode:
         return gaussian_mode_pdf(x, self.sigma)
 
     def cdf(self, x):
-        return gaussian_cdf(x, self.sigma)
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be strictly positive")
+        out = ndtr(np.asarray(x, dtype=float) / self.sigma)
+        return float(out) if out.ndim == 0 else out
 
     def __call__(self, s):
-        return gaussian_generating(s, self.sigma)
+        """Characteristic function exp(-s^2 sigma^2 / 2)."""
+        return _gaussian_cf(s, self.sigma**2)
 
 
 GaussianGF = GaussianMode  # the name generating-function callers use
@@ -312,5 +283,11 @@ class Arcsine:
         return classical_oscillator_pdf(x, self.amplitude)
 
     def cdf(self, x):
-        return arcsine_cdf(x, self.amplitude)
+        """Antiderivative of the classical-oscillator density:
+        (1/pi) arcsin(x/A) + 1/2, clamped to [0, 1] outside the support."""
+        if not self.amplitude > 0.0:
+            raise ValueError("amplitude must be strictly positive")
+        z = np.clip(np.asarray(x, dtype=float) / self.amplitude, -1.0, 1.0)
+        out = np.arcsin(z) / np.pi + 0.5
+        return float(out) if out.ndim == 0 else out
 

@@ -97,9 +97,17 @@ def draw_realization(kind, grid: ModeGrid, seed: int) -> FieldRealization:
     return FieldRealization(kind, grid.fingerprint, seed, w=u + 1j * v)
 
 
+def _finite_phase(phase, what: str = "k.r - w t of fields 'r' and 't'"):
+    """phase() under np.errstate, or a ValueError naming what, before sampling."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = phase()
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"the phase {what} is not finite for every mode")
+    return value
+
+
 def _phases(grid: ModeGrid, r, t: float) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    return grid.k @ r - grid.omega * t
+    return _finite_phase(lambda: grid.k @ np.asarray(r, dtype=float) - grid.omega * t)
 
 
 def _point_meta(r, t: float) -> dict:
@@ -111,7 +119,8 @@ def _mode_phase(grid: ModeGrid, mode_index: int, r, t: float) -> float:
     _phases instead moves the last bit of some modes."""
     if not 0 <= mode_index < len(grid):
         raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
-    return float(grid.k[mode_index] @ np.asarray(r, dtype=float) - grid.omega[mode_index] * t)
+    return float(_finite_phase(lambda: grid.k[mode_index] @ np.asarray(r, dtype=float)
+                               - grid.omega[mode_index] * t))
 
 
 def observe(real: FieldRealization, grid: ModeGrid, re, im) -> np.ndarray:
@@ -145,7 +154,7 @@ class SampleSet:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values)
+        values = np.asarray(self.values)   # kernels.mode_sum's rows are column-major
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.meta.get("count") != len(values):

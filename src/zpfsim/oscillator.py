@@ -32,8 +32,8 @@ import numpy as np
 from . import kernels
 from .constants import PhysicalConstants
 from .dists import _gaussian_cf
-from .fields import (FieldRealization, SampleSet, observable_amplitudes, observe,
-                     sample_observable)
+from .fields import (FieldRealization, SampleSet, _finite_phase, observable_amplitudes,
+                     observe, sample_observable)
 from .lattice import ModeGrid, polarization_basis, vector_lengths
 
 RESONANCE_WARN = 1e-2
@@ -82,7 +82,8 @@ def transfer(nu, p: OscillatorParams):
 
 def _response(grid: ModeGrid, p: OscillatorParams, t: float) -> np.ndarray:
     """Per-mode response h~(w_k) = exp(i w_k t) h(w_k) of the coordinate at t."""
-    return np.exp(1j * grid.omega * t) * transfer(grid.omega, p)
+    wt = _finite_phase(lambda: grid.omega * t, "w t of field 't'")
+    return np.exp(1j * wt) * transfer(grid.omega, p)
 
 
 def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParams,

@@ -142,6 +142,16 @@ class TestValidation:
         ("total-field", '{"rng_layout": 1}', "'rng_layout'"),
         ("oscillator", '{"rng_layout": 3}', "'rng_layout'"),
         ("total-field", '{"rng_layout": "2"}', "'rng_layout'"),
+        # finite (r, t) whose mode phase k.r - w t, or w t, overflows
+        ("total-field", '{"t": 1e308}', "'r' and 't'"),
+        ("total-field", '{"r": [1e308, 0, 0]}', "'r' and 't'"),
+        ("sample-mode", '{"t": 1e308}', "'r' and 't'"),
+        ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
+         '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}, '
+         '"quadrature": {"base_panels": 48}}', "'t'"),
+        # a custom grid is not scaled: only the default factors pass
+        ("generating", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0}, '
+         '"density_factors": [2.0]}', "'density_factors'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -152,7 +162,8 @@ class TestValidation:
             "empty_lattice_generating", "density_empty_lattice", "component_overflow",
             "component_underflow", "direction_overflow", "shell_direction_underflow",
             "rng_layout_1_sample_mode", "rng_layout_1_total_field", "rng_layout_3_oscillator",
-            "rng_layout_text"])
+            "rng_layout_text", "huge_t_total_field", "huge_r_total_field",
+            "huge_t_sample_mode", "huge_t_oscillator", "density_custom_grid"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -516,6 +527,20 @@ class TestGenerating:
         assert rc == 1
         assert "'s_points'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_custom_grid_keeps_default_density_factors(self, tmp_path):
+        # the manifest of a custom-grid run carries the default factors,
+        # which a custom grid accepts, so it reloads to the same run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "grid": {"kvectors": [[1, 0, 0]], "volume": 1.0}}')
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["generating", "--config", str(cfg), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["density_factors"] == [1.0, 4.0, 16.0]
+        assert read_report(first)["files"] == ["generating_custom.csv"]
+        assert main(["generating", "--config", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
     def test_single_mode_row_matches_direct_evaluation(self, tmp_path):
         from scipy.special import j0

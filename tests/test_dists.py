@@ -1,8 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from zpfsim import (
     Arcsine,
@@ -10,26 +12,22 @@ from zpfsim import (
     GaussianGF,
     GaussianMode,
     InsufficientRangeError,
-    arcsine_cdf,
+    OscillatorParams,
     boyer_generating,
     build_grid,
     classical_oscillator_pdf,
-    gaussian_generating,
+    coordinate_axis_variance,
     gaussian_mode_pdf,
     grid_from_kvectors,
     hermite_function,
     invert_characteristic,
     lattice_gaussian_generating,
     quantum_oscillator_pdf,
+    resonance_shell_grid,
     total_field_sigma,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import (
-    _is_uniform,
-    binned_energy_density,
-    energy_density_bin_average,
-    gaussian_cdf,
-)
+from zpfsim.dists import binned_energy_density, energy_density_bin_average
 
 CONSTS = PhysicalConstants()
 
@@ -66,19 +64,19 @@ class TestClassicalOscillator:
 
 class TestArcsineCdf:
     def test_values(self):
-        assert arcsine_cdf(0.0, 2.0) == 0.5
-        assert arcsine_cdf(2.0, 2.0) == 1.0
-        assert arcsine_cdf(-2.5, 2.0) == 0.0
-        assert arcsine_cdf(1.0 / np.sqrt(2.0), 1.0) == pytest.approx(0.75)
+        assert Arcsine(2.0).cdf(0.0) == 0.5
+        assert Arcsine(2.0).cdf(2.0) == 1.0
+        assert Arcsine(2.0).cdf(-2.5) == 0.0
+        assert Arcsine(1.0).cdf(1.0 / np.sqrt(2.0)) == pytest.approx(0.75)
 
     def test_matches_quadrature(self):
         for upper in (-0.6, 0.2, 0.9):
-            assert arcsine_cdf(upper, 1.0) == pytest.approx(
+            assert Arcsine(1.0).cdf(upper) == pytest.approx(
                 arcsine_quadrature_mass(1.0, upper), abs=1e-8)
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
-            arcsine_cdf(0.0, -1.0)
+        with pytest.raises(ValueError, match="amplitude must be strictly positive"):
+            Arcsine(-1.0).cdf(0.0)
 
 
 class TestQuantumOscillator:
@@ -140,11 +138,13 @@ class TestQuantumOscillator:
 
 class TestGaussianMode:
     def test_one_law(self):
-        # the generating function is a call on the same law object
+        # the generating function is a call on the same law object: the
+        # written-out exp(-s^2 sigma^2 / 2), a float for a scalar s
         s = np.linspace(-4.0, 4.0, 33)
         assert GaussianGF is GaussianMode
-        assert np.array_equal(GaussianMode(0.7)(s), gaussian_generating(s, 0.7))
-        assert GaussianMode(0.7)(1.3) == gaussian_generating(1.3, 0.7)
+        assert np.array_equal(GaussianMode(0.7)(s), np.exp(-(s**2) * 0.7**2 / 2.0))
+        value = GaussianMode(0.7)(1.3)
+        assert isinstance(value, float) and value == np.exp(-(1.3**2) * 0.7**2 / 2.0)
 
     def test_center(self):
         assert gaussian_mode_pdf(0.0, 1.0) == pytest.approx(1 / np.sqrt(2 * np.pi))
@@ -185,8 +185,8 @@ class TestTotalFieldSigma:
 
 class TestGeneratingFunctions:
     def test_gaussian_values(self):
-        assert gaussian_generating(0.0, 3.0) == 1.0
-        assert gaussian_generating(1.0, 1.0) == pytest.approx(np.exp(-0.5))
+        assert GaussianMode(3.0)(0.0) == 1.0
+        assert GaussianMode(1.0)(1.0) == pytest.approx(np.exp(-0.5))
 
     def test_product_equals_lattice_sum(self, small_grid):
         # product over modes of per-mode Gaussian factors = exp of the summed
@@ -234,7 +234,7 @@ class TestGeneratingFunctions:
         sig_e = total_field_sigma(cutoff, CONSTS)
         s = np.linspace(0, 5 / sig_e, 81)
         dev = np.abs(boyer_generating(s, [0, 0, 1], grid)
-                     - gaussian_generating(s, sig_e))
+                     - GaussianMode(sig_e)(s))
         assert np.max(dev) < 0.01
 
     def test_boyer_gaussian_deviation_scales_inverse_volume(self):
@@ -331,6 +331,19 @@ def single_mode_arcsine(n_x):
     return amp, BesselProductGF(grid, (1.0, 0.0, 0.0)), x
 
 
+def direct_sum_inversion(gf, x, s_max, n_s=8193, decay_tol=None):
+    """Reference inversion: the trapezoid sum over the same antisymmetric s
+    nodes, one cos/sin row per x, divided by 2 pi and by its trapezoid mass.
+    It takes invert_characteristic's keywords; decay_tol goes unchecked."""
+    ds = 2.0 * s_max / (n_s - 1)
+    s = (np.arange(n_s) - (n_s - 1) / 2) * ds
+    wg = np.asarray(gf(s), dtype=complex) * ds
+    wg[[0, -1]] *= 0.5
+    pdf = np.array([np.cos(xm * s) @ wg.real - np.sin(xm * s) @ wg.imag for xm in x])
+    pdf /= 2.0 * np.pi
+    return pdf / np.trapezoid(pdf, x)
+
+
 class TestInversion:
     def test_gaussian_roundtrip(self):
         x = np.linspace(-6, 6, 1201)
@@ -348,7 +361,7 @@ class TestInversion:
 
         def gf(s):
             seen.append(s.copy())
-            return gaussian_generating(s, 1.0)
+            return GaussianMode(1.0)(s)
 
         s_max = 10.0 / 1.17  # np.linspace(-s_max, s_max, n_s) is not antisymmetric here
         invert_characteristic(gf, np.linspace(-6, 6, 101), s_max=s_max, n_s=n_s,
@@ -388,13 +401,14 @@ class TestInversion:
         cdf_num = integrate.cumulative_trapezoid(pdf, x, initial=0.0)
         # renormalization spreads the excluded endpoint mass over the interior;
         # rescale by the analytic interior mass before comparing
-        interior = arcsine_cdf(x[-1], amp) - arcsine_cdf(x[0], amp)
-        cdf_num = cdf_num * interior + arcsine_cdf(x[0], amp)
-        err = np.max(np.abs(cdf_num - arcsine_cdf(x, amp)))
+        law = Arcsine(amp)
+        interior = law.cdf(x[-1]) - law.cdf(x[0])
+        cdf_num = cdf_num * interior + law.cdf(x[0])
+        err = np.max(np.abs(cdf_num - law.cdf(x)))
         assert err < 1e-3
 
     def test_memory_bounded(self):
-        # the direct sum over 801 x and 2^17 + 1 s peaked near 1.6 GB
+        # a dense (x, s) phase matrix over 801 x and 2^17 + 1 s takes 1.6 GB
         _, gf, x = single_mode_arcsine(801)
         tracemalloc.start()
         try:
@@ -406,11 +420,6 @@ class TestInversion:
 
     @pytest.mark.parametrize("case", ["arcsine", "many_modes"])
     def test_chirp_z_matches_direct_sum(self, case):
-        # moving one node by 1e-9 dx (5-17 times the uniform-grid threshold
-        # of 1e-12 of the span) sends the same nodes through the direct sum,
-        # the reference. The inverted arcsine density rings with slopes near
-        # 100, so a larger move would shift the renormalizing mass by more
-        # than the tolerance.
         if case == "arcsine":
             _, gf, x = single_mode_arcsine(61)
             kw = dict(s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
@@ -420,21 +429,26 @@ class TestInversion:
             gf = BesselProductGF(grid, (0.3, 0.5, 0.8))
             x = np.linspace(-8.0, 8.0, 201) * sd
             kw = dict(s_max=10.0 / sd)
-        moved = x.copy()
-        moved[1] += 1e-9 * (x[1] - x[0])
-        assert _is_uniform(x) and not _is_uniform(moved)
         fast = invert_characteristic(gf, x, **kw)
-        direct = invert_characteristic(gf, moved, **kw)
-        keep = np.arange(x.size) != 1
-        dev = np.max(np.abs(fast[keep] - direct[keep]))
-        assert dev < 1e-8 * np.max(np.abs(direct))
+        direct = direct_sum_inversion(gf, x, **kw)
+        assert np.max(np.abs(fast - direct)) < 1e-8 * np.max(np.abs(direct))
 
     def test_non_uniform_gaussian(self):
-        # two spacings that meet at 0, where the odd derivatives of the
-        # density vanish, so the trapezoid mass stays exact
-        x = np.concatenate([np.linspace(-6, 0, 401), np.linspace(0, 6, 1001)[1:]])
-        pdf = invert_characteristic(GaussianGF(1.0), x, s_max=8.0)
-        assert np.max(np.abs(pdf - gaussian_mode_pdf(x, 1.0))) < 1e-6
+        # the chirp-z transform needs evenly spaced x: two spacings that meet
+        # at 0, and a linspace with one node moved by 1e-9 dx (5 times the
+        # 1e-12-of-the-span threshold), are both rejected
+        two = np.concatenate([np.linspace(-6, 0, 401), np.linspace(0, 6, 1001)[1:]])
+        moved = np.linspace(-6, 6, 201)
+        moved[1] += 1e-9 * (moved[1] - moved[0])
+        for x in (two, moved):
+            with pytest.raises(ValueError, match="x_grid must be .* evenly spaced") as info:
+                invert_characteristic(GaussianGF(1.0), x, s_max=8.0)
+            assert not isinstance(info.value, InsufficientRangeError)
+        # a move of 1e-13 of the span lies inside the threshold
+        jitter = np.linspace(-6, 6, 201)
+        jitter[1] += 1e-13 * 12.0
+        pdf = invert_characteristic(GaussianGF(1.0), jitter, s_max=8.0)
+        assert np.max(np.abs(pdf - gaussian_mode_pdf(jitter, 1.0))) < 1e-6
 
 
 class TestEnergyDensity:
@@ -494,4 +508,27 @@ class TestDistributionCatalogue:
         assert gauss_fourth / arc_moment(4) == pytest.approx(2.0, rel=1e-5)
 
     def test_gaussian_cdf_helper(self):
-        assert gaussian_cdf(0.0, 2.0) == pytest.approx(0.5)
+        assert GaussianMode(2.0).cdf(0.0) == pytest.approx(0.5)
+        assert GaussianMode(2.0).cdf(2.0) == ndtr(1.0)
+        with pytest.raises(ValueError, match="sigma must be strictly positive"):
+            GaussianMode(0.0).cdf(0.0)
+
+
+def test_simd_independent_law_bits_pinned(medium_grid):
+    """Law values built from +, -, *, /, sqrt and scipy's ndtr alone: turning
+    off AVX-512, and AVX2 as well, through NPY_DISABLE_CPU_FEATURES left
+    these bits unchanged. np.exp, np.arcsin and the Bessel product's
+    j0(...) ** mult (np.power) moved there, so none of them is pinned."""
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+
+    weak = PhysicalConstants(electron_charge=0.01)
+    params = OscillatorParams.from_constants(1.0, weak)
+    shells = resonance_shell_grid(params, weak, n_shells=8)
+    assert [medium_grid.component_variance(d).hex()
+            for d in ((1.0, 0.0, 0.0), (0.3, 0.5, 0.8))] == ["0x1.bbdd59ebfb8c4p-3"] * 2
+    assert [coordinate_axis_variance(shells, params, a).hex() for a in np.eye(3)] == [
+        "0x1.ff7ced914b17dp-2", "0x1.ff7ced914b17ep-2", "0x1.ff7ced914b17dp-2"]
+    assert digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "6b259a7b4d0d1fcd"
+    assert digest(classical_oscillator_pdf(np.linspace(-1.2, 1.2, 1001), 1.0)) == (
+        "9c86b45bed5cc739")

@@ -17,6 +17,7 @@ from zpfsim import (
     sample_mode_batch,
 )
 from zpfsim.constants import PhysicalConstants
+from zpfsim.fields import SampleSet
 
 CONSTS = PhysicalConstants()
 ORIGIN = np.zeros(3)
@@ -192,6 +193,22 @@ class TestSampleModeBatch:
 
 
 class TestSampleFieldBatch:
+    @pytest.mark.parametrize("r, t", [(ORIGIN, 1e308), ([1e308, 0.0, 0.0], 0.0),
+                                      ([1e308, -1e308, 0.0], 0.0)],
+                             ids=["huge_t", "huge_r", "inf_minus_inf"])
+    def test_non_finite_phase_is_named(self, r, t):
+        # finite (r, t) whose phase k.r - w t overflows, or is inf - inf,
+        # fails before sampling, without numpy's overflow or invalid warning
+        grid = grid_from_kvectors([[0.0, 0.0, 1.0], [3.0, 3.0, 0.0]], volume=1.0,
+                                  constants=CONSTS)
+        real = draw_realization("boyer", grid, 1)
+        for call in (lambda: sample_field_batch("boyer", grid, r, t, 10, 1),
+                     lambda: sample_mode_batch("modified", grid, 3, r, t, 10, 1),
+                     lambda: eval_field(real, grid, r, t),
+                     lambda: mode_amplitude(real, grid, 3, r, t)):
+            with pytest.raises(ValueError, match="fields 'r' and 't'"):
+                call()
+
     def test_rows_match_slow_path(self, small_grid):
         batch = sample_field_batch("modified", small_grid, ORIGIN, 0.0, 3, 77)
         real = draw_realization("modified", small_grid, 77)
@@ -260,6 +277,16 @@ class TestSampleSet:
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         assert np.array_equal(parsed, batch.values)
         assert "# r: [0.0, 0.0, 0.0]\n" in path.read_text()
+
+    def test_column_major_values_kept(self, small_grid, tmp_path):
+        # the mode sum's column-major rows are kept, not copied, and write
+        # the CSV of a C-order copy
+        batch = sample_field_batch("boyer", small_grid, ORIGIN, 0.0, 50, 13)
+        assert batch.values.flags.f_contiguous and not batch.values.flags.writeable
+        copy = SampleSet(values=np.ascontiguousarray(batch.values), meta=batch.meta)
+        texts = [[line for line in s.to_csv(tmp_path / f"{i}.csv").read_text().splitlines()
+                  if not line.startswith("# generated:")] for i, s in enumerate((batch, copy))]
+        assert texts[0] == texts[1]
 
     def test_count_invariant(self):
         with pytest.raises(ValueError, match="count"):

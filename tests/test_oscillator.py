@@ -128,6 +128,16 @@ class TestEnsemble:
         p2 = coordinate_ensemble("modified", grid, BROAD, 0.0, 18, 56, start=12).values
         assert np.allclose(full, np.concatenate([p1, p2]), rtol=1e-13)
 
+    def test_non_finite_phase_names_t(self):
+        # a finite t whose phase w t overflows fails before sampling, without
+        # numpy's overflow or invalid-value warning
+        grid = sparse_grid()
+        real = draw_realization("modified", grid, 1)
+        with pytest.raises(ValueError, match="field 't'"):
+            coordinate_ensemble("boyer", grid, BROAD, 1.7e308, 10, 1)
+        with pytest.raises(ValueError, match="field 't'"):
+            coordinate_sample(real, grid, BROAD, -1.7e308)
+
     def test_chunk_size_immaterial(self):
         grid = sparse_grid()
         a = coordinate_ensemble("boyer", grid, BROAD, 0.0, 40, 57).values

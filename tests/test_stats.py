@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zpfsim import GaussianMode, arcsine_cdf, ks_critical, ks_test, moments
+from zpfsim import Arcsine, GaussianMode, ks_critical, ks_test, moments
 from zpfsim.stats import CSV_BLOCK_ROWS, empirical_generating, histogram, write_csv
 
 
@@ -92,7 +92,7 @@ class TestKS:
     def test_arcsine_vs_gaussian_rejected(self):
         # analytic sup-distance between the two cdfs is ~0.097
         x = np.linspace(-2.0, 2.0, 200_001)
-        sup = np.max(np.abs(arcsine_cdf(x, np.sqrt(2.0)) - GaussianMode(1.0).cdf(x)))
+        sup = np.max(np.abs(Arcsine(np.sqrt(2.0)).cdf(x) - GaussianMode(1.0).cdf(x)))
         assert 0.05 < sup < 0.12
         res = ks_test(arcsine_samples(10_000, np.sqrt(2.0), 22), GaussianMode(1.0).cdf)
         assert not res.passed
