@@ -286,6 +286,7 @@ def cmd_oscillator(cfg):
     grid_var = [oscillator.coordinate_axis_variance(grid, params, a) for a in np.eye(3)]
     _check(lambda d: min(grid_var) > 0, "directions whose modes drive every axis")(
         shells["directions"], "shells.directions")
+    oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
     # the quadrature can fail (exit 2): run it before the costly sampling
     quad_value, closed = oscillator.resonance_integral(params, **cfg["quadrature"])
     ens = oscillator.coordinate_ensemble(

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import j0, ndtr
 
 from .constants import PhysicalConstants
-from .fields import observable_amplitudes
-from .lattice import ModeGrid
+from .fields import FieldKind, _as_kind, _mode_coefficients
+from .lattice import ModeGrid, unit_vector
 
 HERMITE_MAX_LEVEL = 170  # 2^n n! overflows double precision beyond this
 _BLOCK_ELEMENTS = 2**20  # size of the largest (|s| x A_k) temporary of the Bessel product
@@ -135,34 +135,59 @@ def _gaussian_cf(s, var: float):
     return float(out) if out.ndim == 0 else out
 
 
-def boyer_generating(s, s_direction, grid: ModeGrid):
-    """Bessel-product generating function of the random-phase field:
-    prod_k J0(A_k s) with A_k = sqrt(2) sigma_k |shat . eps_k|, the
-    fields.observable_amplitudes of the Boyer field at unit response.
+@dataclass(frozen=True)
+class FiniteLaw:
+    """Exact law of one component of a linear observable on a finite mode set:
+    sum_k A_k cos(theta_k) for Boyer rows, whose A_k carry the sqrt(2), and
+    sum_k A_k N_k for modified rows. ``of`` is the one place a grid and a
+    per-mode response re + i*im become a law: along the unit direction d,
+    A_k = |hypot(a_k, b_k) (eps_k . d)| over the rows (a_k, b_k) of
+    fields._mode_coefficients."""
 
-    J0 is even, so each factor depends only on |s| and on A_k. The product
-    is evaluated once per distinct |s| and once per distinct A_k, that
-    factor raised to the number of modes sharing it, in blocks of about
-    2^20 factors.
-    """
-    amps, mult = np.unique(observable_amplitudes("boyer", grid, 1.0, 0.0, s_direction),
-                           return_counts=True)
-    s = np.asarray(s, dtype=float)
-    abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
-    out = np.ones_like(abs_s)
-    block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
-    for lo in range(0, amps.size, block):
-        out *= np.prod(j0(np.outer(abs_s, amps[lo:lo + block])) ** mult[lo:lo + block],
-                       axis=1)
-    out = out[inverse].reshape(s.shape)
-    return float(out) if out.ndim == 0 else out
+    kind: FieldKind
+    amplitudes: np.ndarray
+
+    @classmethod
+    def of(cls, kind, grid: ModeGrid, re, im, direction) -> "FiniteLaw":
+        a, b = _mode_coefficients(kind := _as_kind(kind), grid.sigma, re, im)
+        return cls(kind, np.abs(np.hypot(a, b) * (grid.eps @ unit_vector(direction))))
+
+    @property
+    def variance(self) -> float:
+        """sum_k A_k^2 in row order, halved for Boyer rows (mean cos^2 is 1/2)."""
+        var = float(np.sum(self.amplitudes**2))
+        return var / 2.0 if self.kind is FieldKind.BOYER else var
+
+    def __call__(self, s):
+        """exp(-s^2 variance / 2) for modified rows. For Boyer rows prod_k J0(A_k s),
+        evaluated once per distinct |s| (J0 is even) and once per distinct A_k,
+        that factor raised to the number of modes sharing it, in blocks of
+        about 2^20 factors."""
+        if self.kind is FieldKind.MODIFIED:
+            return _gaussian_cf(s, self.variance)
+        amps, mult = np.unique(self.amplitudes, return_counts=True)
+        s = np.asarray(s, dtype=float)
+        abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
+        out = np.ones_like(abs_s)
+        block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
+        for lo in range(0, amps.size, block):
+            out *= np.prod(j0(np.outer(abs_s, amps[lo:lo + block])) ** mult[lo:lo + block],
+                           axis=1)
+        out = out[inverse].reshape(s.shape)
+        return float(out) if out.ndim == 0 else out
+
+
+def boyer_generating(s, s_direction, grid: ModeGrid):
+    """Bessel-product generating function prod_k J0(A_k s) of the
+    random-phase field component, A_k = sqrt(2) sigma_k |shat . eps_k|."""
+    return FiniteLaw.of("boyer", grid, 1.0, 0.0, s_direction)(s)
 
 
 def lattice_gaussian_generating(s, s_direction, grid: ModeGrid):
     """Gaussian generating function with the variance summed over the same
     grid, exp(-s^2/2 * sum_k sigma_k^2 (shat.eps_k)^2). This is the
     retained-quadratic-terms limit of the Bessel product on that grid."""
-    return _gaussian_cf(s, grid.component_variance(s_direction))
+    return FiniteLaw.of("modified", grid, 1.0, 0.0, s_direction)(s)
 
 
 @dataclass(frozen=True)

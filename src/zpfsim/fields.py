@@ -18,9 +18,10 @@ Two classical field ansatzes are implemented:
 The field and the field-driven oscillator are the same linear observable
 sum_k sigma_k Re{w_k conj(rho_k)} eps_k (w_k = sqrt(2) exp(i theta_k) for
 Boyer); only the per-mode response rho_k differs. Every observable goes
-through three functions here, given rho_k as (re, im): sample_observable
-(the fast batch sampler), observe (the slow-path reference) and
-observable_amplitudes (the per-mode amplitudes of its exact law).
+through three functions here, given rho_k as (re, im): _mode_coefficients
+(its per-mode rows), sample_observable (the fast batch sampler) and observe
+(the slow-path reference). dists.FiniteLaw turns the same rows into the
+observable's exact law.
 
 A realization is immutable and fully determined by (kind, grid, seed);
 per-mode counter-based streams (rng.py) let batch samplers draw a single
@@ -35,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels, rng, stats
-from .lattice import ModeGrid, mode_amplitudes
+from .lattice import ModeGrid
 
 SQRT2 = np.sqrt(2.0)
 
@@ -200,13 +201,6 @@ def sample_observable(kind, grid: ModeGrid, re, im, n: int, seed: int, start: in
     return SampleSet(values=values if modes is None else values[:, 0], meta={
         "kind": kind.value, "grid": grid.fingerprint, **meta,
         "seed": seed, "start": start, "count": n})
-
-
-def observable_amplitudes(kind, grid: ModeGrid, re, im, direction) -> np.ndarray:
-    """lattice.mode_amplitudes of the rows of the observable with per-mode
-    response re + i*im, along a unit direction: the A_k of its exact law."""
-    return mode_amplitudes(*_mode_coefficients(_as_kind(kind), grid.sigma, re, im),
-                           grid.eps, direction)
 
 
 def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,

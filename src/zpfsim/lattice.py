@@ -53,13 +53,6 @@ def unit_vector(direction) -> np.ndarray:
     return np.asarray(direction, dtype=float) / vector_lengths(direction, "direction")
 
 
-def mode_amplitudes(coef_a, coef_b, eps, direction) -> np.ndarray:
-    """Per-mode amplitude |hypot(a_k, b_k) (eps_k . d)| of a_k X_k + b_k Y_k
-    along the unit direction d: the J0 argument per unit s of a Boyer
-    mode, and the standard deviation of a modified one."""
-    return np.abs(np.hypot(coef_a, coef_b) * (eps @ unit_vector(direction)))
-
-
 def mode_sigma(omega, volume, constants: PhysicalConstants):
     """Per-mode field scale sqrt(hbar*omega / (2*eps0*V))."""
     omega = np.asarray(omega, dtype=float)
@@ -157,10 +150,10 @@ class ModeGrid:
         return h.hexdigest()[:16]
 
     def component_variance(self, direction) -> float:
-        """Total-field variance of one Cartesian/arbitrary component:
-        sum_k A_k^2 over the modified-field amplitudes A_k = sigma_k |d . eps_k|
-        (coefficients (sigma_k, 0)) for a unit direction d."""
-        return float(np.sum(mode_amplitudes(self.sigma, 0.0, self.eps, direction) ** 2))
+        """Total-field variance sum_k sigma_k^2 (d . eps_k)^2 of the component
+        along a unit direction d: the variance of its modified-field law."""
+        from .dists import FiniteLaw  # dists imports this module
+        return FiniteLaw.of("modified", self, 1.0, 0.0, direction).variance
 
 
 def build_grid(box_side: float, omega_cutoff: float,

@@ -15,11 +15,10 @@ is the observable of fields.py with per-mode response h~ for exp(-i phi_k).
 
 The Gaussian generating function of the coordinate is exact on any finite
 mode set for the modified field; the Boyer coordinate follows the Bessel
-product prod_k J0(A_k s) over fields.observable_amplitudes instead. In the
-unbounded limit the resonance approximation gives the
-per-axis variance sigma_q^2 = hbar / (2 m nu0), and confining the
-distribution to two quadrature axes reproduces the ground-state mean
-square radius hbar / (m nu0).
+product prod_k J0(A_k s) instead; dists.FiniteLaw holds both laws. In the
+unbounded limit the resonance approximation gives the per-axis variance
+sigma_q^2 = hbar / (2 m nu0), and confining the distribution to two
+quadrature axes reproduces the ground-state mean square radius hbar / (m nu0).
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ import numpy as np
 
 from . import kernels
 from .constants import PhysicalConstants
-from .dists import _gaussian_cf
-from .fields import (FieldRealization, SampleSet, _finite_phase, observable_amplitudes,
-                     observe, sample_observable)
+from .dists import FiniteLaw
+from .fields import FieldRealization, SampleSet, _finite_phase, observe, sample_observable
 from .lattice import ModeGrid, polarization_basis, vector_lengths
 
 RESONANCE_WARN = 1e-2
@@ -107,21 +105,18 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
 
 
 def coordinate_axis_variance(grid: ModeGrid, p: OscillatorParams, direction) -> float:
-    """Exact per-grid variance of the coordinate along a unit direction:
-    sum_k A_k^2 with A_k = sigma_k |h(w_k)| |d.eps_k| (fields.observable_amplitudes)."""
+    """Exact per-grid variance sum_k sigma_k^2 |h(w_k)|^2 (d.eps_k)^2 of the
+    coordinate along a unit direction d: that of its modified-field law."""
     h = transfer(grid.omega, p)
-    return float(np.sum(observable_amplitudes("modified", grid, h.real, h.imag,
-                                              direction) ** 2))
+    return FiniteLaw.of("modified", grid, h.real, h.imag, direction).variance
 
 
 def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
-    """Gaussian generating function exp(-(s^2/2) sum_k A_k^2) of the
-    coordinate, A_k = sigma_k |h(w_k)| |shat.eps_k| the observable_amplitudes
-    of the modified field, for which it is exact on any grid. The Boyer
-    coordinate follows prod_k J0(A_k s) over its own amplitudes (sqrt(2)
-    times these), which this Gaussian approaches only when many comparable
-    modes contribute."""
-    return _gaussian_cf(s, coordinate_axis_variance(grid, p, s_direction))
+    """Gaussian generating function exp(-(s^2/2) sum_k A_k^2) of the coordinate,
+    A_k = sigma_k |h(w_k)| |shat.eps_k|: its exact law for the modified field,
+    which the Boyer law approaches only when many comparable modes contribute."""
+    h = transfer(grid.omega, p)
+    return FiniteLaw.of("modified", grid, h.real, h.imag, s_direction)(s)
 
 
 def predicted_variance(p: OscillatorParams, constants: PhysicalConstants) -> float:

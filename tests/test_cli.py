@@ -149,6 +149,9 @@ class TestValidation:
         ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
          '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}, '
          '"quadrature": {"base_panels": 48}}', "'t'"),
+        # w t is checked before the quadrature, which does not converge here
+        ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
+         '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}}', "'t'"),
         # a custom grid is not scaled: only the default factors pass
         ("generating", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0}, '
          '"density_factors": [2.0]}', "'density_factors'"),
@@ -163,7 +166,8 @@ class TestValidation:
             "component_underflow", "direction_overflow", "shell_direction_underflow",
             "rng_layout_1_sample_mode", "rng_layout_1_total_field", "rng_layout_3_oscillator",
             "rng_layout_text", "huge_t_total_field", "huge_r_total_field",
-            "huge_t_sample_mode", "huge_t_oscillator", "density_custom_grid"])
+            "huge_t_sample_mode", "huge_t_oscillator", "huge_t_oscillator_before_quadrature",
+            "density_custom_grid"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)

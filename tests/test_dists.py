@@ -25,9 +25,10 @@ from zpfsim import (
     quantum_oscillator_pdf,
     resonance_shell_grid,
     total_field_sigma,
+    transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import binned_energy_density, energy_density_bin_average
+from zpfsim.dists import FiniteLaw, binned_energy_density, energy_density_bin_average
 
 CONSTS = PhysicalConstants()
 
@@ -318,6 +319,36 @@ class TestGroupedBesselProduct:
             boyer_generating(1.0, direction, small_grid)
         with pytest.raises(ValueError, match="direction"):
             small_grid.component_variance(direction)
+
+
+def law_rows(small_grid):
+    """(grid, re, im, direction) of field components on the 36-mode lattice
+    and a 3-mode custom grid, and of the 8-shell oscillator's three axes."""
+    weak = PhysicalConstants(electron_charge=0.01)
+    params = OscillatorParams.from_constants(1.0, weak)
+    shells = resonance_shell_grid(params, weak, n_shells=8)
+    h = transfer(shells.omega, params)
+    three = grid_from_kvectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.3, 0.2, 1.0]],
+                               volume=1.0, polarizations=(1,))
+    return [(small_grid, 1.0, 0.0, (1.0, 0.0, 0.0)), (small_grid, 1.0, 0.0, (0.3, 0.5, 0.8)),
+            (three, 1.0, 0.0, (0.3, 0.5, 0.8)),
+            *((shells, h.real, h.imag, axis) for axis in np.eye(3))]
+
+
+class TestFiniteLaw:
+    @pytest.mark.parametrize("kind", ["boyer", "modified"])
+    def test_curvature_is_the_variance(self, small_grid, kind):
+        """-law''(0) = variance: a dropped 1/2 in the Boyer variance fails."""
+        for grid, re, im, d in law_rows(small_grid):
+            law = FiniteLaw.of(kind, grid, re, im, d)
+            h = 1e-3 / np.sqrt(law.variance)
+            assert 2.0 * (1.0 - law(h)) / h**2 == pytest.approx(law.variance, rel=1e-5)
+
+    def test_boyer_and_modified_variances_agree(self, small_grid):
+        """Same rows, same variance: a dropped sqrt(2) in the Boyer rows fails."""
+        for grid, re, im, d in law_rows(small_grid):
+            assert FiniteLaw.of("boyer", grid, re, im, d).variance == pytest.approx(
+                FiniteLaw.of("modified", grid, re, im, d).variance, rel=1e-14)
 
 
 def single_mode_arcsine(n_x):

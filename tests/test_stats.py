@@ -64,6 +64,13 @@ class TestMoments:
         rep = moments(normal_samples(100, 5))
         assert rep.se_mean > 0 and rep.se_variance > 0
 
+    def test_standard_errors_by_hand(self):
+        # mean 0.8, squared deviations summing to 15.425, so variance 15.425 / 4
+        rep = moments([0.5, -1.25, 2.0, 3.5, -0.75])
+        assert rep.variance == pytest.approx(3.85625, rel=1e-14)
+        assert rep.se_mean == pytest.approx(math.sqrt(3.85625 / 5), rel=1e-14)
+        assert rep.se_variance == pytest.approx(3.85625 * math.sqrt(2 / 4), rel=1e-14)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             moments([1.0, np.nan])
@@ -105,6 +112,19 @@ class TestKS:
     def test_non_monotone_cdf_detected(self):
         with pytest.raises(ValueError, match="monotone"):
             ks_test(np.linspace(0, 6, 100), lambda x: 0.5 + 0.4 * np.sin(x))
+
+    @pytest.mark.parametrize("cdf, ok", [
+        (lambda x: x * (1.0 + 1e-11), False), (lambda x: x - 1e-11, False),
+        (lambda x: x * (1.0 + 1e-13), True), (lambda x: x - 1e-13, True),
+    ], ids=["above_1", "below_0", "rounding_above_1", "rounding_below_0"])
+    def test_cdf_range_guard(self, cdf, ok):
+        # only a departure from [0, 1] beyond 1e-12 is an error, at either end
+        x = np.linspace(0.0, 1.0, 11)
+        if ok:
+            assert ks_test(x, cdf).n == 11
+        else:
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                ks_test(x, cdf)
 
     def test_null_calibration(self):
         # rejection rate at alpha = 0.05 over 200 seeded repetitions
