@@ -351,12 +351,15 @@ def cmd_generating(cfg):
                             f"fields 'grid' and 'density_factors[{i}]' give")
                  for i, f in enumerate(cfg["density_factors"])]
         labels = [f"density_{i}" for i in range(len(grids))]
+    variances = [grid.component_variance(direction) for grid in grids]
+    _check(lambda d: min(variances) > 0, "a direction in which the grid's field varies")(
+        cfg["direction"], "direction")
     sigma_e = total_field_sigma(cutoff, constants)
     s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
     rows, files = [], {}
-    for label, grid in zip(labels, grids):
+    for label, grid, variance in zip(labels, grids, variances):
         gb = boyer_generating(s, direction, grid)
-        g_lat = GaussianMode(np.sqrt(grid.component_variance(direction)))(s)
+        g_lat = GaussianMode(np.sqrt(variance))(s)
         g_cont = GaussianMode(sigma_e)(s)
         dev = np.abs(gb - g_lat)
         files[f"generating_{label}.csv"] = _csv(

@@ -243,10 +243,12 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
     mass on x_grid. A symmetric s-grid maps a symmetric gf to a symmetric
     density.
     """
-    if n_s < 2:
-        raise ValueError("n_s must be at least 2")
+    if not (isinstance(n_s, (int, np.integer)) and not isinstance(n_s, bool) and n_s >= 2):
+        raise ValueError(f"n_s must be an integer >= 2, got {n_s!r}")
     if not (np.isfinite(s_max) and s_max > 0.0):
         raise ValueError(f"s_max must be finite and > 0, got {s_max!r}")
+    if not (np.isfinite(decay_tol) and decay_tol >= 0.0):
+        raise ValueError(f"decay_tol must be finite and >= 0, got {decay_tol!r}")
     x_grid = np.asarray(x_grid, dtype=float)
     if not (x_grid.ndim == 1 and x_grid.size >= 2 and np.all(np.isfinite(x_grid))
             and np.all(np.diff(x_grid) > 0.0) and _is_uniform(x_grid)):

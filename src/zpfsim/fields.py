@@ -180,7 +180,7 @@ def _mode_coefficients(kind: FieldKind, sigma, re, im):
 
 
 def sample_observable(kind, grid: ModeGrid, re, im, n: int, seed: int, start: int,
-                      chunk: int, meta: dict, mode_index: int | None = None) -> SampleSet:
+                      meta: dict, mode_index: int | None = None) -> SampleSet:
     """The one fast path: realizations start..start+n-1 of the observable
     sum_k sigma_k Re{w_k conj(re_k + i im_k)} eps_k, whose per-mode response
     re + i*im is exp(-i phi_k) for the field at (r, t) and exp(i w t) h(w)
@@ -192,13 +192,12 @@ def sample_observable(kind, grid: ModeGrid, re, im, n: int, seed: int, start: in
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if mode_index is None:
-        sigma, eps, modes = grid.sigma, grid.eps, None
+        sigma, eps, streams = grid.sigma, grid.eps, range(len(grid))
     else:
-        sigma, eps, modes = grid.sigma[[mode_index]], np.ones((1, 1)), [mode_index]
+        sigma, eps, streams = grid.sigma[[mode_index]], np.ones((1, 1)), [mode_index]
     a, b = _mode_coefficients(kind, sigma, re, im)
-    values = kernels.mode_sum(kind, a[:, None] * eps, b[:, None] * eps, n, seed, start,
-                              chunk, modes)
-    return SampleSet(values=values if modes is None else values[:, 0], meta={
+    values = kernels.mode_sum(kind, a[:, None] * eps, b[:, None] * eps, streams, n, seed, start)
+    return SampleSet(values=values if mode_index is None else values[:, 0], meta={
         "kind": kind.value, "grid": grid.fingerprint, **meta,
         "seed": seed, "start": start, "count": n})
 
@@ -213,12 +212,11 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
     """
     phi = _mode_phase(grid, mode_index, r, t)
     return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start,
-                             kernels.CHUNK, {"mode_index": mode_index, **_point_meta(r, t)},
-                             mode_index)
+                             {"mode_index": mode_index, **_point_meta(r, t)}, mode_index)
 
 
 def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
-                       start: int = 0, chunk: int = kernels.CHUNK) -> SampleSet:
+                       start: int = 0) -> SampleSet:
     """n i.i.d. realizations of the full field vector E(r, t).
 
     Row j equals eval_field(draw_realization(kind, grid, seed), ...) for
@@ -226,5 +224,5 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
     O(n) regardless of grid size.
     """
     phi = _phases(grid, r, t)
-    return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start, chunk,
+    return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start,
                              _point_meta(r, t))

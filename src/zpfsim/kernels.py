@@ -22,7 +22,8 @@ fill and its ufuncs release the GIL, and each thread writes only its own
 rows. A row's uniforms are fixed by its realization index in each mode's
 counter-based stream, wherever its range begins, and each row is summed
 over the modes in order by one thread. So the bits depend neither on the
-number of threads or CPUs nor on the chunk size.
+number of threads or CPUs nor on the block size CHUNK, which the tests
+patch to check this.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import rng
 
-CHUNK = 8192  # default realizations per block of a mode sum
+CHUNK = 8192  # realizations per block of a mode sum
 MIN_ROWS = 4096  # fewest rows worth a thread: a thread re-creates every mode's stream
 # threads a mode sum may use: the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -59,7 +60,7 @@ def accumulate_normal(out, uniforms, coef_a, coef_b):
     _contract(out, x, y, coef_a, coef_b)
 
 
-def _sum_rows(out, normal, coef_a, coef_b, streams, seed, start, chunk):
+def _sum_rows(out, normal, coef_a, coef_b, streams, seed, start):
     """out += rows start..start+len(out)-1 of the mode sum, mode by mode."""
     block = rng.BLOCK_NORMAL_PAIR if normal else rng.BLOCK_PHASE
     accumulate = accumulate_normal if normal else accumulate_phase
@@ -67,27 +68,22 @@ def _sum_rows(out, normal, coef_a, coef_b, streams, seed, start, chunk):
     for k, stream in enumerate(streams):
         gen = rng.mode_stream(seed, stream)
         rng.skip_uniforms(gen, start * block)
-        for lo in range(0, n, chunk):
-            m = min(chunk, n - lo)
+        for lo in range(0, n, CHUNK):
+            m = min(CHUNK, n - lo)
             uni = gen.random((m, 2) if normal else m)
             accumulate(out[lo:lo + m], uni, coef_a[k], coef_b[k])
 
 
-def mode_sum(kind, coef_a, coef_b, n: int, seed: int, start: int,
-             chunk: int, modes=None) -> np.ndarray:
+def mode_sum(kind, coef_a, coef_b, streams, n: int, seed: int, start: int) -> np.ndarray:
     """Rows start..start+n-1 of sum_k X_k coef_a[k] + Y_k coef_b[k] for
-    kind "boyer" or "modified". Row k reads stream modes[k] of ``seed``
-    (stream k when ``modes`` is None), in chunks of ``chunk``
-    realizations, so memory stays O(n). An error in any thread is raised
-    here once every thread has finished."""
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    kind "boyer" or "modified". Row k reads stream streams[k] of ``seed``
+    in blocks of CHUNK realizations, so memory stays O(n). An error in any
+    thread is raised here once every thread has finished."""
     out = np.zeros((n, coef_a.shape[1]), order="F")  # out[:, i] contiguous
-    args = (kind == "modified", coef_a, coef_b,
-            range(len(coef_a)) if modes is None else modes, seed)
+    args = (kind == "modified", coef_a, coef_b, streams, seed)
     parts = max(1, min(WORKERS, n // MIN_ROWS))
     if parts == 1:
-        _sum_rows(out, *args, start, chunk)
+        _sum_rows(out, *args, start)
         return out
     # imported here, not at the top: scipy does not load it, so importing
     # zpfsim stays as cheap as before, and a serial sum never needs it
@@ -95,9 +91,9 @@ def mode_sum(kind, coef_a, coef_b, n: int, seed: int, start: int,
 
     edges = [n * p // parts for p in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:  # this thread sums the first range
-        done = [pool.submit(_sum_rows, out[lo:hi], *args, start + lo, chunk)
+        done = [pool.submit(_sum_rows, out[lo:hi], *args, start + lo)
                 for lo, hi in zip(edges[1:-1], edges[2:])]
-        _sum_rows(out[:edges[1]], *args, start, chunk)
+        _sum_rows(out[:edges[1]], *args, start)
     for future in done:
         future.result()
     return out

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .constants import PhysicalConstants
 from .dists import FiniteLaw
 from .fields import FieldRealization, SampleSet, _finite_phase, observe, sample_observable
@@ -94,12 +93,11 @@ def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParam
 
 
 def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
-                        n: int, seed: int, start: int = 0,
-                        chunk: int = kernels.CHUNK) -> SampleSet:
+                        n: int, seed: int, start: int = 0) -> SampleSet:
     """n independent coordinate vectors; row j reproduces the slow path
     coordinate_sample(draw_realization(...)) for realization index start+j."""
     ht = _response(grid, p, t)
-    return sample_observable(kind, grid, ht.real, ht.imag, n, seed, start, chunk, {
+    return sample_observable(kind, grid, ht.real, ht.imag, n, seed, start, {
         "t": float(t), "params": {"nu0": p.nu0, "gamma": p.gamma,
                                   "gamma_prime": p.gamma_prime, "mass": p.mass}})
 

@@ -6,7 +6,7 @@ bit generator. Draws are blocked by realization index: realization j of a
 random-phase field consumes uniform j of each mode stream, and realization
 j of a complex-Gaussian field consumes uniforms (2j, 2j+1). The fixed block
 layout means any single mode, any realization row, or any contiguous slice
-of an ensemble can be regenerated without drawing the rest, and results do
+of an ensemble can be reproduced without drawing the rest, and results do
 not depend on how work is partitioned across workers.
 
 Normal deviates use the Box-Muller construction, which maps exactly two

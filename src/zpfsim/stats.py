@@ -10,7 +10,6 @@ asymptotic form is accurate.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +44,18 @@ class KSResult:
         return asdict(self)
 
 
-def moments(samples) -> MomentReport:
+def _finite_samples(samples, minimum: int, what: str) -> np.ndarray:
+    """samples as a flat float array of at least ``minimum`` finite values."""
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError("need at least 2 samples for a moment report")
+    if x.size < minimum:
+        raise ValueError(f"{what} needs at least {minimum} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
+    return x
+
+
+def moments(samples) -> MomentReport:
+    x = _finite_samples(samples, 2, "a moment report")
     n = x.size
     mean = float(np.mean(x))
     d = x - mean
@@ -81,10 +86,8 @@ def ks_critical(alpha: float, n: int) -> float:
 
 def ks_test(samples, cdf, alpha: float = 0.01) -> KSResult:
     """One-sample two-sided Kolmogorov-Smirnov test against a callable cdf."""
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    x = np.sort(_finite_samples(samples, 10, "a KS test"))
     n = x.size
-    if n < 10:
-        raise ValueError("KS test needs at least 10 samples")
     f = np.asarray(cdf(x), dtype=float)
     if np.any(np.diff(f) < -1e-12):
         raise ValueError("cdf is not monotone on the sample range")
@@ -117,12 +120,12 @@ def histogram(samples, bins: int, value_range):
 def write_csv(path, title: str, names, rows, meta: dict) -> Path:
     """Write rows of numbers as CSV; returns the path.
 
-    The header is ``# zpfsim <title>``, one ``# generated: <UTC time>``
-    line, the sorted ``# key: value`` metadata lines and the column names.
-    Every value is written as ``%.17g``, so the body round-trips exactly
-    and reruns are byte-identical apart from the timestamp line. ``rows``
-    is an (n, c) array, or an (n,) array written as one column; it is
-    formatted a block of rows at a time, without a full-size copy.
+    The header is ``# zpfsim <title>``, the sorted ``# key: value``
+    metadata lines and the column names. Every value is written as
+    ``%.17g``, so the body round-trips exactly. The file depends on the
+    arguments alone, so reruns are byte-identical. ``rows`` is an (n, c)
+    array, or an (n,) array written as one column; it is formatted a
+    block of rows at a time, without a full-size copy.
     """
     path = Path(path)
     rows = np.asarray(rows)
@@ -131,7 +134,6 @@ def write_csv(path, title: str, names, rows, meta: dict) -> Path:
     row_fmt = "%.17g," * (rows.shape[1] - 1) + "%.17g\n"
     with path.open("w") as fh:
         fh.write(f"# zpfsim {title}\n")
-        fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
         for key in sorted(meta):
             fh.write(f"# {key}: {meta[key]}\n")
         fh.write(",".join(names) + "\n")
@@ -144,7 +146,7 @@ def write_csv(path, title: str, names, rows, meta: dict) -> Path:
 def empirical_generating(samples, s_values):
     """Empirical characteristic function mean(exp(-i s X)) on a set of s
     values. Returns (complex means, standard errors of the real part)."""
-    x = np.asarray(samples, dtype=float).ravel()
+    x = _finite_samples(samples, 2, "an empirical generating function")
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     n = x.size
     g = np.empty(s.size, dtype=complex)

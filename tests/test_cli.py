@@ -23,11 +23,6 @@ def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
 
-def strip_timestamps(path):
-    return "\n".join(line for line in path.read_text().splitlines()
-                     if not line.startswith("# generated:"))
-
-
 class TestValidation:
     def test_missing_seed_exit_1(self, tmp_path, capsys):
         rc = main(["sample-mode", "--out", str(tmp_path)])
@@ -124,6 +119,9 @@ class TestValidation:
         # a target with zero variance fails before sampling
         ("total-field", '{"grid": {"kvectors": [[0, 0, 1]], "volume": 1}, '
          '"component": [0, 0, 1]}', "'component'"),
+        ("generating", '{"grid": {"kvectors": [[0, 0, 1]], "volume": 1}, '
+         '"direction": [0, 0, 1]}', "'direction' must be a direction in which the grid's "
+         "field varies"),
         ("oscillator", '{"constants": {"electron_charge": 0.01}, '
          '"shells": {"n_shells": 8, "directions": [[0, 0, 1]]}}', "'shells.directions'"),
         # a lattice with no mode below the cutoff
@@ -160,7 +158,8 @@ class TestValidation:
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
             "box_side_null", "box_side_text", "grid_null", "volume_missing", "base_panels",
             "directions", "from_constants", "density_empty", "density_negative", "command",
-            "seed_text", "component_zero_variance", "directions_zero_variance",
+            "seed_text", "component_zero_variance", "direction_zero_variance",
+            "directions_zero_variance",
             "empty_lattice_sample_mode", "empty_lattice_total_field",
             "empty_lattice_generating", "density_empty_lattice", "component_overflow",
             "component_underflow", "direction_overflow", "shell_direction_underflow",
@@ -314,8 +313,7 @@ class TestSampleMode:
         second = tmp_path / "second"
         assert main(["sample-mode", "--config", str(first / "manifest.json"),
                      "--out", str(second)]) == 0
-        assert (strip_timestamps(first / "samples.csv")
-                == strip_timestamps(second / "samples.csv"))
+        assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
         assert read_report(first) == read_report(second)
 
 
@@ -577,8 +575,8 @@ class TestGenerating:
     ["generating"],
 ], ids=lambda argv: argv[0])
 def test_csv_files_contract(tmp_path, argv):
-    """Every CSV a subcommand writes starts '# zpfsim ', has its one
-    timestamp line second, and reruns byte-identical apart from it."""
+    """Every CSV a subcommand writes starts '# zpfsim ' and has no clock
+    line; reruns give byte-identical CSVs and report.json."""
     (tmp_path / "osc.json").write_text(json.dumps({
         "constants": {"hbar": 1.0, "eps0": 1.0, "c": 1.0,
                       "electron_mass": 1.0, "electron_charge": 0.01},
@@ -594,8 +592,9 @@ def test_csv_files_contract(tmp_path, argv):
     for name in names:
         lines = (a / name).read_text().splitlines()
         assert lines[0].startswith("# zpfsim ")
-        assert [i for i, line in enumerate(lines) if line.startswith("# generated:")] == [1]
-        assert strip_timestamps(a / name) == strip_timestamps(b / name)
+        assert not any(line.startswith("# generated:") for line in lines)
+    for name in [*names, "report.json"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -407,20 +407,29 @@ class TestInversion:
             invert_characteristic(lambda s: np.ones_like(s),
                                   np.linspace(-1, 1, 11), s_max=5.0)
 
-    @pytest.mark.parametrize("x_grid, s_max, name", [
-        (np.linspace(1.0, -1.0, 11), 5.0, "x_grid"),
-        ([0.0], 5.0, "x_grid"),
-        ([-1.0, np.nan, 1.0], 5.0, "x_grid"),
-        (np.zeros((3, 4)), 5.0, "x_grid"),
-        (np.linspace(-1.0, 1.0, 11), -8.0, "s_max"),
-        (np.linspace(-1.0, 1.0, 11), np.inf, "s_max"),
-        (np.linspace(-1.0, 1.0, 11), 0.0, "s_max"),
+    @pytest.mark.parametrize("args, name", [
+        ({"x_grid": np.linspace(1.0, -1.0, 11)}, "x_grid"),
+        ({"x_grid": [0.0]}, "x_grid"),
+        ({"x_grid": [-1.0, np.nan, 1.0]}, "x_grid"),
+        ({"x_grid": np.zeros((3, 4))}, "x_grid"),
+        ({"s_max": -8.0}, "s_max"),
+        ({"s_max": np.inf}, "s_max"),
+        ({"s_max": 0.0}, "s_max"),
+        # a NaN tolerance would switch the decay check off
+        ({"s_max": 1.0, "decay_tol": np.nan}, "decay_tol"),
+        ({"decay_tol": np.inf}, "decay_tol"),
+        ({"decay_tol": -1e-10}, "decay_tol"),
+        ({"n_s": 8193.5}, "n_s"),
+        ({"n_s": 1}, "n_s"),
+        ({"n_s": True}, "n_s"),
     ], ids=["descending", "one_point", "nan", "two_d", "negative_s_max", "infinite_s_max",
-            "zero_s_max"])
-    def test_bad_argument_is_named(self, x_grid, s_max, name):
+            "zero_s_max", "nan_decay_tol", "infinite_decay_tol", "negative_decay_tol",
+            "fractional_n_s", "one_n_s", "bool_n_s"])
+    def test_bad_argument_is_named(self, args, name):
+        args = {"x_grid": np.linspace(-1.0, 1.0, 11), "s_max": 5.0, **args}
         # InsufficientRangeError is a ValueError too, so check the class
         with pytest.raises(ValueError, match=name) as info:
-            invert_characteristic(GaussianGF(1.0), x_grid, s_max=s_max)
+            invert_characteristic(GaussianGF(1.0), **args)
         assert not isinstance(info.value, InsufficientRangeError)
 
     def test_single_mode_bessel_recovers_arcsine(self):

@@ -22,6 +22,7 @@ from zpfsim import (
     resonance_shell_grid,
     transfer,
 )
+from zpfsim import kernels
 from zpfsim.constants import PhysicalConstants
 from zpfsim.oscillator import fibonacci_directions
 from zpfsim.stats import empirical_generating
@@ -138,10 +139,11 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="field 't'"):
             coordinate_sample(real, grid, BROAD, -1.7e308)
 
-    def test_chunk_size_immaterial(self):
+    def test_chunk_size_immaterial(self, monkeypatch):
         grid = sparse_grid()
         a = coordinate_ensemble("boyer", grid, BROAD, 0.0, 40, 57).values
-        b = coordinate_ensemble("boyer", grid, BROAD, 0.0, 40, 57, chunk=7).values
+        monkeypatch.setattr(kernels, "CHUNK", 7)
+        b = coordinate_ensemble("boyer", grid, BROAD, 0.0, 40, 57).values
         assert np.array_equal(a, b)
 
     def test_shell_ensemble_variance_and_gaussianity(self):

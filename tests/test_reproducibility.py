@@ -1,14 +1,16 @@
 """Property tests of the reproducibility contract.
 
 ``(kind, grid, seed)`` fixes the bits of every batch sampler: splitting the
-realization range ``[0, n)`` into ``(start, n_i)`` pieces, or changing the
-chunk size, must give the same array, and row 0 must agree with the slow
-path (draw_realization), which anchors the stream positions themselves.
+realization range ``[0, n)`` into ``(start, n_i)`` pieces, or patching the
+mode sum's block size ``kernels.CHUNK``, must give the same array, and row 0
+must agree with the slow path (draw_realization), which anchors the stream
+positions themselves.
 Nor may the number of threads a mode sum splits its rows over change them.
 """
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,8 +73,9 @@ def test_mode_batch_split_invariant(kind, seed, split, mode):
 def test_field_batch_split_and_chunk_invariant(kind, seed, split, chunk):
     n, pieces = split
     full = sample_field_batch(kind, GRID, R, T, n, seed).values
-    parts = joined(lambda s, m: sample_field_batch(kind, GRID, R, T, m, seed, start=s,
-                                                   chunk=chunk).values, pieces)
+    with mock.patch.object(kernels, "CHUNK", chunk):
+        parts = joined(lambda s, m: sample_field_batch(kind, GRID, R, T, m, seed,
+                                                       start=s).values, pieces)
     assert np.array_equal(full, parts)
     slow = eval_field(draw_realization(kind, GRID, seed), GRID, R, T)
     assert np.allclose(full[0], slow, rtol=1e-10, atol=1e-12 * GRID.sigma.sum())
@@ -83,8 +86,9 @@ def test_field_batch_split_and_chunk_invariant(kind, seed, split, chunk):
 def test_coordinate_ensemble_split_and_chunk_invariant(kind, seed, split, chunk):
     n, pieces = split
     full = coordinate_ensemble(kind, GRID, PARAMS, T, n, seed).values
-    parts = joined(lambda s, m: coordinate_ensemble(kind, GRID, PARAMS, T, m, seed,
-                                                    start=s, chunk=chunk).values, pieces)
+    with mock.patch.object(kernels, "CHUNK", chunk):
+        parts = joined(lambda s, m: coordinate_ensemble(kind, GRID, PARAMS, T, m, seed,
+                                                        start=s).values, pieces)
     assert np.array_equal(full, parts)
     slow = coordinate_sample(draw_realization(kind, GRID, seed), GRID, PARAMS, T)
     scale = np.abs(full).max() + np.abs(slow).max()
@@ -97,24 +101,25 @@ THREAD_N, THREAD_CHUNK, THREAD_START = 50, 7, 4
 
 
 @pytest.mark.parametrize("kind", ["boyer", "modified"])
-@pytest.mark.parametrize("modes", [None, [11]], ids=["all-modes", "single-mode"])
-def test_mode_sum_thread_invariant(monkeypatch, kind, modes):
+@pytest.mark.parametrize("modes, shape", [(range(5), (5, 3)), ([11], (1, 1))],
+                         ids=["all-modes", "single-mode"])
+def test_mode_sum_thread_invariant(monkeypatch, kind, modes, shape):
     gen = np.random.default_rng(3)
-    shape = (5, 3) if modes is None else (1, 1)
     coef_a, coef_b = gen.normal(size=shape), gen.normal(size=shape)
     ranges = []
     sum_rows = kernels._sum_rows
 
-    def traced(out, normal, coef_a, coef_b, streams, seed, start, chunk):
-        sum_rows(out, normal, coef_a, coef_b, streams, seed, start, chunk)
+    def traced(out, normal, coef_a, coef_b, streams, seed, start):
+        sum_rows(out, normal, coef_a, coef_b, streams, seed, start)
         ranges.append((start - THREAD_START, len(out), threading.get_ident()))
 
     monkeypatch.setattr(kernels, "_sum_rows", traced)
     monkeypatch.setattr(kernels, "MIN_ROWS", 8)
+    monkeypatch.setattr(kernels, "CHUNK", THREAD_CHUNK)
     threads = threading.active_count()
 
     def mode_sum(n, start):
-        return kernels.mode_sum(kind, coef_a, coef_b, n, 9, start, THREAD_CHUNK, modes)
+        return kernels.mode_sum(kind, coef_a, coef_b, modes, n, 9, start)
 
     rows = {}
     for workers in (1, 2, 3):

@@ -84,6 +84,7 @@ class TestModeSum:
         # three ranges of 10 rows; the one that starts at row 10 fails
         monkeypatch.setattr(kernels, "WORKERS", 3)
         monkeypatch.setattr(kernels, "MIN_ROWS", 10)
+        monkeypatch.setattr(kernels, "CHUNK", 4)
         skip = rng.skip_uniforms
 
         def skip_or_fail(gen, n):
@@ -103,7 +104,7 @@ class TestModeSum:
         threads = threading.active_count()
         coef = np.ones((4, 3))
         with pytest.raises(MemoryError, match="no room for range 2"):
-            kernels.mode_sum("modified", coef, coef, 30, 1, 0, 4)
+            kernels.mode_sum("modified", coef, coef, range(4), 30, 1, 0)
         assert sorted(finished) == [10, 10]  # the other two ranges ran to the end
         assert threading.active_count() == threads
 
@@ -120,7 +121,7 @@ class TestModeSum:
             "    sum_rows(out, *args)\n"
             "kernels._sum_rows = traced\n"
             "coef = np.ones((2, 3))\n"
-            "kernels.mode_sum('boyer', coef, coef, 4 * kernels.MIN_ROWS, 1, 0, kernels.CHUNK)\n"
+            "kernels.mode_sum('boyer', coef, coef, range(2), 4 * kernels.MIN_ROWS, 1, 0)\n"
             "print(kernels.WORKERS, calls == [threading.get_ident()], threading.active_count())\n"
         )
         src = os.path.dirname(os.path.dirname(kernels.__file__))
