@@ -9,12 +9,22 @@ half-angle form t = tan(pi U), cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2),
 which costs a fraction of np.cos plus np.sin. The rows (a_k, b_k) come
 from fields._mode_coefficients.
 
-The accumulator is column-major, so each output axis out[:, i] is one
-contiguous column. The contraction runs one axis at a time on contiguous
-1-D arrays: t = X a_k[i], t += Y b_k[i], out[:, i] += t. Per element these
-are the multiplies and adds of out += outer(X, a_k) + outer(Y, b_k), in the
-same order (numpy fuses no multiply-add), so they give the same bits; the
-memory layout changes no value either.
+The mode sum runs in blocks of M modes x m realizations, MODE_BLOCK
+mode-samples in all (m = CHUNK realizations, or fewer when the range is
+shorter), so each numpy call covers a block rather than one mode: a
+thread then spends its time in long calls that release the GIL, not in
+the interpreter. Per block: each mode's stream fills its row of one
+contiguous (M, m) buffer of uniforms ((M, m, 2) for Box-Muller), the
+transform runs once on the whole block, and the contraction forms
+t = X a_k[i] + Y b_k[i] for all M modes of one output axis i at a time.
+The accumulator is column-major, so out[:, i] is one contiguous column,
+and the block is added into it as a left fold in mode order,
+out[:, i] += t[k] for k = 0, 1, ... . Per element these are the
+multiplies and adds of out += outer(X, a_k) + outer(Y, b_k) summed mode by
+mode (numpy fuses no multiply-add), so the block geometry and the memory
+layout change no bit. The transcendentals (tan, log1p) run on contiguous
+rows of the block's work buffers, which _sum_rows allocates once, since
+numpy's loop for a strided view can round differently.
 
 mode_sum splits the rows [0, n) into up to WORKERS contiguous ranges of at
 least MIN_ROWS rows and sums each range in its own thread; numpy's Philox
@@ -22,8 +32,8 @@ fill and its ufuncs release the GIL, and each thread writes only its own
 rows. A row's uniforms are fixed by its realization index in each mode's
 counter-based stream, wherever its range begins, and each row is summed
 over the modes in order by one thread. So the bits depend neither on the
-number of threads or CPUs nor on the block size CHUNK, which the tests
-patch to check this.
+number of threads or CPUs nor on the block sizes CHUNK and MODE_BLOCK,
+which the tests patch to check this.
 """
 
 from __future__ import annotations
@@ -34,51 +44,80 @@ import numpy as np
 
 from . import rng
 
-CHUNK = 8192  # realizations per block of a mode sum
+CHUNK = 8192  # most realizations per block of a mode sum
+MODE_BLOCK = 1 << 15  # mode-samples (modes x realizations) per block of a mode sum
 MIN_ROWS = 4096  # fewest rows worth a thread: a thread re-creates every mode's stream
 # threads a mode sum may use: the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-def _contract(out, x, y, coef_a, coef_b):
-    """out += outer(x, coef_a) + outer(y, coef_b), one output axis at a time."""
+def _contract(out, x, y, coef_a, coef_b, work):
+    """out += outer(x[j], coef_a[j]) + outer(y[j], coef_b[j]) for the block's
+    modes j in order, one output axis at a time; work holds two arrays of
+    x's shape."""
+    t, ty = work
     for i in range(out.shape[1]):
-        t = x * coef_a[i]
-        t += y * coef_b[i]
-        out[:, i] += t
+        np.multiply(x, coef_a[:, i, None], out=t)
+        np.multiply(y, coef_b[:, i, None], out=ty)
+        t += ty
+        col = out[:, i]
+        for row in t:   # a left fold in mode order, not np.add.reduce's pairwise sum
+            col += row
 
 
-def accumulate_phase(out, uniforms, coef_a, coef_b):
-    """out += cos(theta) coef_a + sin(theta) coef_b, theta = 2*pi*U."""
-    _contract(out, *rng.unit_circle(uniforms), coef_a, coef_b)
+def accumulate_phase(out, uniforms, coef_a, coef_b, work):
+    """out += cos(theta) coef_a[j] + sin(theta) coef_b[j] summed over the
+    block's modes j in order, theta = 2*pi*U. uniforms holds len(out)
+    phases of each of the len(coef_a) modes in turn; work is a float
+    buffer of at least 4 * len(uniforms) elements."""
+    shape = (len(coef_a), len(out))
+    w = work[:4 * len(uniforms)].reshape(4, *shape)
+    x, y = rng.unit_circle(uniforms.reshape(shape), w[:3])
+    _contract(out, x, y, coef_a, coef_b, w[2:])
 
 
-def accumulate_normal(out, uniforms, coef_a, coef_b):
-    """out += u coef_a + v coef_b for Box-Muller pairs (u, v) of an (n, 2) block."""
-    x, y = rng.boxmuller(uniforms[:, 0], uniforms[:, 1])
-    _contract(out, x, y, coef_a, coef_b)
+def accumulate_normal(out, uniforms, coef_a, coef_b, work):
+    """out += u coef_a[j] + v coef_b[j] summed over the block's modes j in
+    order, for the Box-Muller pairs (u, v) of an (n, 2) block of uniforms
+    that holds len(out) pairs of each mode in turn; work as for
+    accumulate_phase."""
+    shape = (len(coef_a), len(out))
+    w = work[:4 * len(uniforms)].reshape(4, *shape)
+    pairs = uniforms.reshape(*shape, 2)
+    x, y = rng.boxmuller(pairs[..., 0], pairs[..., 1], w)
+    _contract(out, x, y, coef_a, coef_b, w[2:])
 
 
 def _sum_rows(out, normal, coef_a, coef_b, streams, seed, start):
-    """out += rows start..start+len(out)-1 of the mode sum, mode by mode."""
-    block = rng.BLOCK_NORMAL_PAIR if normal else rng.BLOCK_PHASE
+    """out += rows start..start+len(out)-1 of the mode sum, in blocks of
+    min(CHUNK, len(out)) rows of as many modes as MODE_BLOCK holds."""
+    width = rng.BLOCK_NORMAL_PAIR if normal else rng.BLOCK_PHASE
+    draws = (-1, width) if normal else (-1,)   # len() of a block counts its mode-samples
     accumulate = accumulate_normal if normal else accumulate_phase
     n = len(out)
-    for k, stream in enumerate(streams):
-        gen = rng.mode_stream(seed, stream)
-        rng.skip_uniforms(gen, start * block)
-        for lo in range(0, n, CHUNK):
-            m = min(CHUNK, n - lo)
-            uni = gen.random((m, 2) if normal else m)
-            accumulate(out[lo:lo + m], uni, coef_a[k], coef_b[k])
+    rows = max(1, min(CHUNK, n))
+    modes = max(1, min(len(streams), MODE_BLOCK // rows))
+    # allocated once: a fresh block-sized array per block pays for mmap and page faults
+    uni = np.empty(modes * rows * width)
+    work = np.empty(4 * modes * rows)
+    for k in range(0, len(streams), modes):
+        gens = [rng.skip_uniforms(rng.mode_stream(seed, stream), start * width)
+                for stream in streams[k:k + modes]]
+        for lo in range(0, n, rows):
+            m = min(rows, n - lo)
+            block = uni[:len(gens) * m * width].reshape(len(gens), m * width)
+            for gen, row in zip(gens, block):
+                gen.random(out=row)
+            accumulate(out[lo:lo + m], block.reshape(draws),
+                       coef_a[k:k + modes], coef_b[k:k + modes], work)
 
 
 def mode_sum(kind, coef_a, coef_b, streams, n: int, seed: int, start: int) -> np.ndarray:
     """Rows start..start+n-1 of sum_k X_k coef_a[k] + Y_k coef_b[k] for
     kind "boyer" or "modified". Row k reads stream streams[k] of ``seed``
-    in blocks of CHUNK realizations, so memory stays O(n). An error in any
-    thread is raised here once every thread has finished."""
+    in blocks of MODE_BLOCK mode-samples, so memory stays O(n). An error in
+    any thread is raised here once every thread has finished."""
     out = np.zeros((n, coef_a.shape[1]), order="F")  # out[:, i] contiguous
     args = (kind == "modified", coef_a, coef_b, streams, seed)
     parts = max(1, min(WORKERS, n // MIN_ROWS))

@@ -62,19 +62,26 @@ def mode_uniforms(seed: int, mode_index: int, count: int, start: int = 0) -> np.
     return gen.random(count)
 
 
-def unit_circle(u):
+def unit_circle(u, out=None):
     """(cos 2 pi u, sin 2 pi u) for uniforms u in [0, 1), by the half-angle form.
 
     With t = tan(pi u): cos = (1 - t^2) / (1 + t^2), sin = 2t / (1 + t^2).
     One tan and a few arithmetic passes cost far less than np.cos plus
     np.sin, and agree with them to about 2e-16. pi u < pi, so t is finite
     (|t| <= 1.7e16) and both results lie in [-1, 1].
+
+    ``out``, a C-contiguous float array of shape (3, *u.shape), takes cos,
+    sin and 1 + t^2 in its rows, so a caller can reuse one buffer; without
+    it a new one is allocated. tan runs on a contiguous row either way:
+    numpy's loop for a strided array can round differently.
     """
-    t = np.empty(np.shape(u))   # an array even for a scalar u, so every step is in place
+    if out is None:
+        out = np.empty((3, *np.shape(u)))   # 0-d rows for a scalar u: every step is in place
+    cos, t, den = out[0, ...], out[1, ...], out[2, ...]
     np.multiply(u, np.pi, out=t)
     np.tan(t, out=t)
-    cos = np.multiply(t, t, out=np.empty_like(t))
-    den = cos + 1.0
+    np.multiply(t, t, out=cos)
+    np.add(cos, 1.0, out=den)
     np.subtract(1.0, cos, out=cos)
     cos /= den
     t += t
@@ -82,14 +89,22 @@ def unit_circle(u):
     return cos, t
 
 
-def boxmuller(u1, u2):
+def boxmuller(u1, u2, out=None):
     """Map uniform pairs in [0, 1) to independent standard normal pairs.
 
     u = r cos(2 pi u2), v = r sin(2 pi u2) with r = sqrt(-2 ln(1 - u1));
-    (cos, sin) come from unit_circle.
+    (cos, sin) come from unit_circle. ``out``, a C-contiguous float array
+    of shape (4, *shape of the pairs), takes u and v in rows 0 and 1 and
+    uses rows 2 and 3 as scratch; without it a new one is allocated.
     """
-    r = np.sqrt(-2.0 * np.log1p(-np.asarray(u1)))
-    x, y = unit_circle(u2)
+    if out is None:
+        out = np.empty((4, *np.broadcast_shapes(np.shape(u1), np.shape(u2))))
+    r = out[3, ...]
+    np.negative(u1, out=r)
+    np.log1p(r, out=r)   # on a contiguous row, like tan in unit_circle
+    r *= -2.0
+    np.sqrt(r, out=r)
+    x, y = unit_circle(u2, out[:3])
     x *= r
     y *= r
     return x, y

@@ -2,9 +2,9 @@
 
 ``(kind, grid, seed)`` fixes the bits of every batch sampler: splitting the
 realization range ``[0, n)`` into ``(start, n_i)`` pieces, or patching the
-mode sum's block size ``kernels.CHUNK``, must give the same array, and row 0
-must agree with the slow path (draw_realization), which anchors the stream
-positions themselves.
+mode sum's block geometry (``kernels.CHUNK`` rows, ``kernels.MODE_BLOCK``
+mode-samples), must give the same array, and row 0 must agree with the slow
+path (draw_realization), which anchors the stream positions themselves.
 Nor may the number of threads a mode sum splits its rows over change them.
 """
 
@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zpfsim import (
@@ -56,6 +56,23 @@ def joined(sample, pieces):
     return np.concatenate([sample(start, m) for start, m in pieces])
 
 
+def block_geometry(chunk, modes):
+    """Patch the mode sum to blocks of ``modes`` modes x ``chunk`` rows (more
+    modes for a range shorter than ``chunk``)."""
+    return mock.patch.multiple(kernels, CHUNK=chunk, MODE_BLOCK=modes * chunk)
+
+
+def block_examples(test):
+    """Blocks of 1 mode, of 5 modes (36 = 7 x 5 + 1 leaves a 1-mode tail
+    block) and of all modes, for both kinds; the 9-row piece ends in a 1-row
+    chunk."""
+    for kind in ("boyer", "modified"):
+        for modes in (1, 5, len(GRID)):
+            test = example(kind=kind, seed=5, split=(21, [(0, 9), (9, 12)]), chunk=4,
+                           modes=modes)(test)
+    return test
+
+
 @PROPERTY
 @given(kind=kinds, seed=seeds, split=splits(), mode=st.integers(0, len(GRID) - 1))
 def test_mode_batch_split_invariant(kind, seed, split, mode):
@@ -69,11 +86,13 @@ def test_mode_batch_split_invariant(kind, seed, split, mode):
 
 
 @PROPERTY
-@given(kind=kinds, seed=seeds, split=splits(), chunk=st.integers(1, 50))
-def test_field_batch_split_and_chunk_invariant(kind, seed, split, chunk):
+@given(kind=kinds, seed=seeds, split=splits(), chunk=st.integers(1, 50),
+       modes=st.integers(1, len(GRID) + 4))
+@block_examples
+def test_field_batch_split_and_chunk_invariant(kind, seed, split, chunk, modes):
     n, pieces = split
     full = sample_field_batch(kind, GRID, R, T, n, seed).values
-    with mock.patch.object(kernels, "CHUNK", chunk):
+    with block_geometry(chunk, modes):
         parts = joined(lambda s, m: sample_field_batch(kind, GRID, R, T, m, seed,
                                                        start=s).values, pieces)
     assert np.array_equal(full, parts)
@@ -82,11 +101,13 @@ def test_field_batch_split_and_chunk_invariant(kind, seed, split, chunk):
 
 
 @PROPERTY
-@given(kind=kinds, seed=seeds, split=splits(), chunk=st.integers(1, 50))
-def test_coordinate_ensemble_split_and_chunk_invariant(kind, seed, split, chunk):
+@given(kind=kinds, seed=seeds, split=splits(), chunk=st.integers(1, 50),
+       modes=st.integers(1, len(GRID) + 4))
+@block_examples
+def test_coordinate_ensemble_split_and_chunk_invariant(kind, seed, split, chunk, modes):
     n, pieces = split
     full = coordinate_ensemble(kind, GRID, PARAMS, T, n, seed).values
-    with mock.patch.object(kernels, "CHUNK", chunk):
+    with block_geometry(chunk, modes):
         parts = joined(lambda s, m: coordinate_ensemble(kind, GRID, PARAMS, T, m, seed,
                                                         start=s).values, pieces)
     assert np.array_equal(full, parts)

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,3 +132,44 @@ class TestModeSum:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=60)
         assert done.stdout.split() == ["1", "True", "1"]
+
+    @pytest.mark.parametrize("kind", ["boyer", "modified"])
+    @pytest.mark.parametrize("modes, n, chunk, mode_block", [
+        (36, 50, 7, 35),      # 5-mode blocks and a 1-mode tail block; a 1-row tail chunk
+        (36, 50, 7, 7),       # 1-mode blocks
+        (36, 5, 7, 10**6),    # one block of all modes, shorter than a chunk
+        (160, 20000, None, None),  # the module's own constants
+    ], ids=["split-modes", "one-mode", "all-modes", "constants"])
+    def test_one_accumulate_call_per_block(self, monkeypatch, kind, modes, n, chunk,
+                                           mode_block):
+        monkeypatch.setattr(kernels, "WORKERS", 1)
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "CHUNK", chunk)
+            monkeypatch.setattr(kernels, "MODE_BLOCK", mode_block)
+        name = "accumulate_normal" if kind == "modified" else "accumulate_phase"
+        accumulate, sizes = getattr(kernels, name), []
+
+        def traced(out, uniforms, *args):
+            sizes.append(len(uniforms))
+            accumulate(out, uniforms, *args)
+
+        monkeypatch.setattr(kernels, name, traced)
+        coef = np.ones((modes, 3))
+        kernels.mode_sum(kind, coef, coef, range(modes), n, 2, 0)
+        rows = min(kernels.CHUNK, n)
+        per_block = kernels.MODE_BLOCK // rows   # modes
+        assert len(sizes) == math.ceil(modes / per_block) * math.ceil(n / rows)
+        assert sum(sizes) == modes * n
+
+    def test_memory_is_output_plus_fixed_buffers(self, monkeypatch):
+        # osc-ensemble's shape: 1152 modes x 12 000 rows, on two threads
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        gen = np.random.default_rng(4)
+        coef_a, coef_b = gen.normal(size=(1152, 3)), gen.normal(size=(1152, 3))
+        tracemalloc.start()
+        try:
+            out = kernels.mode_sum("modified", coef_a, coef_b, range(1152), 12_000, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20   # block buffers: 1.5 MB per thread
