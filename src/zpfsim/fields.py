@@ -87,14 +87,14 @@ def draw_realization(kind, grid: ModeGrid, seed: int) -> FieldRealization:
     """
     kind = _as_kind(kind)
     seed = rng.check_seed(seed)
-    streams = [rng.mode_stream(seed, i) for i in range(len(grid))]
+    width = rng.BLOCK_PHASE if kind is FieldKind.BOYER else rng.BLOCK_NORMAL_PAIR
+    uni = np.empty((len(grid), width))
+    gen = rng.generator()
+    for key, row in zip(rng.mode_keys(seed, np.arange(len(grid))), uni):
+        rng.position(gen, key, 0).random(out=row)
     if kind is FieldKind.BOYER:
-        theta = 2.0 * np.pi * np.array([g.random() for g in streams])
-        return FieldRealization(kind, grid.fingerprint, seed, theta=theta)
-    u = np.empty(len(grid))
-    v = np.empty(len(grid))
-    for i, g in enumerate(streams):
-        u[i], v[i] = rng.boxmuller(*g.random(2))
+        return FieldRealization(kind, grid.fingerprint, seed, theta=2.0 * np.pi * uni[:, 0])
+    u, v = rng.boxmuller(uni[:, 0], uni[:, 1])
     return FieldRealization(kind, grid.fingerprint, seed, w=u + 1j * v)
 
 
@@ -192,7 +192,7 @@ def sample_observable(kind, grid: ModeGrid, re, im, n: int, seed: int, start: in
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if mode_index is None:
-        sigma, eps, streams = grid.sigma, grid.eps, range(len(grid))
+        sigma, eps, streams = grid.sigma, grid.eps, np.arange(len(grid))
     else:
         sigma, eps, streams = grid.sigma[[mode_index]], np.ones((1, 1)), [mode_index]
     a, b = _mode_coefficients(kind, sigma, re, im)

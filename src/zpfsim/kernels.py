@@ -26,10 +26,13 @@ layout change no bit. The transcendentals (tan, log1p) run on contiguous
 rows of the block's work buffers, which _sum_rows allocates once, since
 numpy's loop for a strided view can round differently.
 
-mode_sum splits the rows [0, n) into up to WORKERS contiguous ranges of at
-least MIN_ROWS rows and sums each range in its own thread; numpy's Philox
-fill and its ufuncs release the GIL, and each thread writes only its own
-rows. A row's uniforms are fixed by its realization index in each mode's
+mode_sum computes every stream's Philox key once (rng.mode_keys), splits
+the rows [0, n) into up to WORKERS contiguous ranges of at least MIN_ROWS
+rows and sums each range in its own thread; numpy's Philox fill and its
+ufuncs release the GIL, and each thread writes only its own rows. A thread
+owns one generator per row of its blocks and sets it to each block's
+streams by state assignment (rng.position); no generator is shared. A
+row's uniforms are fixed by its realization index in each mode's
 counter-based stream, wherever its range begins, and each row is summed
 over the modes in order by one thread. So the bits depend neither on the
 number of threads or CPUs nor on the block sizes CHUNK and MODE_BLOCK,
@@ -46,7 +49,10 @@ from . import rng
 
 CHUNK = 8192  # most realizations per block of a mode sum
 MODE_BLOCK = 1 << 15  # mode-samples (modes x realizations) per block of a mode sum
-MIN_ROWS = 4096  # fewest rows worth a thread: a thread re-creates every mode's stream
+# fewest rows worth a thread; on 2 CPUs a two-thread sum of 160 or 1152 modes
+# first beats one thread at 1024-2048 rows per thread (stream positioning is
+# about 2 us per mode and thread)
+MIN_ROWS = 4096
 # threads a mode sum may use: the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
@@ -89,24 +95,27 @@ def accumulate_normal(out, uniforms, coef_a, coef_b, work):
     _contract(out, x, y, coef_a, coef_b, w[2:])
 
 
-def _sum_rows(out, normal, coef_a, coef_b, streams, seed, start):
-    """out += rows start..start+len(out)-1 of the mode sum, in blocks of
-    min(CHUNK, len(out)) rows of as many modes as MODE_BLOCK holds."""
+def _sum_rows(out, normal, coef_a, coef_b, keys, start):
+    """out += rows start..start+len(out)-1 of the mode sum over the streams
+    of ``keys``, in blocks of min(CHUNK, len(out)) rows of as many modes as
+    MODE_BLOCK holds."""
     width = rng.BLOCK_NORMAL_PAIR if normal else rng.BLOCK_PHASE
     draws = (-1, width) if normal else (-1,)   # len() of a block counts its mode-samples
     accumulate = accumulate_normal if normal else accumulate_phase
     n = len(out)
     rows = max(1, min(CHUNK, n))
-    modes = max(1, min(len(streams), MODE_BLOCK // rows))
+    modes = max(1, min(len(keys), MODE_BLOCK // rows))
     # allocated once: a fresh block-sized array per block pays for mmap and page faults
     uni = np.empty(modes * rows * width)
     work = np.empty(4 * modes * rows)
-    for k in range(0, len(streams), modes):
-        gens = [rng.skip_uniforms(rng.mode_stream(seed, stream), start * width)
-                for stream in streams[k:k + modes]]
+    gens = [rng.generator() for _ in range(modes)]   # this thread's own, one per row of a block
+    for k in range(0, len(keys), modes):
+        block_keys = keys[k:k + modes]
+        for gen, key in zip(gens, block_keys):
+            rng.position(gen, key, start * width)
         for lo in range(0, n, rows):
             m = min(rows, n - lo)
-            block = uni[:len(gens) * m * width].reshape(len(gens), m * width)
+            block = uni[:len(block_keys) * m * width].reshape(len(block_keys), m * width)
             for gen, row in zip(gens, block):
                 gen.random(out=row)
             accumulate(out[lo:lo + m], block.reshape(draws),
@@ -119,7 +128,7 @@ def mode_sum(kind, coef_a, coef_b, streams, n: int, seed: int, start: int) -> np
     in blocks of MODE_BLOCK mode-samples, so memory stays O(n). An error in
     any thread is raised here once every thread has finished."""
     out = np.zeros((n, coef_a.shape[1]), order="F")  # out[:, i] contiguous
-    args = (kind == "modified", coef_a, coef_b, streams, seed)
+    args = (kind == "modified", coef_a, coef_b, rng.mode_keys(seed, streams))
     parts = max(1, min(WORKERS, n // MIN_ROWS))
     if parts == 1:
         _sum_rows(out, *args, start)

@@ -1,8 +1,11 @@
 """Reproducible per-mode random streams and the uniform -> (cos, sin) transform.
 
-Every mode of a grid owns an independent counter-based stream, derived from
-(seed, mode_index) through SeedSequence spawn keys on top of the Philox
-bit generator. Draws are blocked by realization index: realization j of a
+Every mode of a grid owns an independent counter-based stream: a Philox
+bit generator keyed by numpy's SeedSequence(seed, spawn_key=(mode_index,))
+key. mode_keys computes the keys of all modes in one vectorized pass of
+SeedSequence's hash, and position sets a reused generator to any key and
+draw count by assigning its state, so no SeedSequence or Philox is built
+per mode. Draws are blocked by realization index: realization j of a
 random-phase field consumes uniform j of each mode stream, and realization
 j of a complex-Gaussian field consumes uniforms (2j, 2j+1). The fixed block
 layout means any single mode, any realization row, or any contiguous slice
@@ -26,7 +29,14 @@ import numpy as np
 BLOCK_PHASE = 1      # one phase draw
 BLOCK_NORMAL_PAIR = 2  # Box-Muller pair
 
-_PHILOX_DRAWS_PER_BLOCK = 4  # Philox advance() moves the counter in 4-draw blocks
+_PHILOX_DRAWS_PER_BLOCK = 4  # Philox draws per counter step (its buffer holds 4)
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+# numpy's SeedSequence (O'Neill's seed_seq hash): pool size and hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def check_seed(seed) -> int:
@@ -37,29 +47,111 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def mode_stream(seed: int, mode_index: int) -> np.random.Generator:
-    """Independent stream for one mode of one seeded experiment."""
-    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(int(mode_index),))
-    return np.random.Generator(np.random.Philox(ss))
+def _hashmix(value, const, mult):
+    """SeedSequence's hashmix: value ^= const, const *= mult, value *= const,
+    value ^= value >> 16, modulo 2^32. Returns (value, const). Python ints
+    or uint64 arrays, which broadcast: a column of four successive
+    constants hashes one word four times at once."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
 
 
-def skip_uniforms(gen: np.random.Generator, n: int) -> np.random.Generator:
-    """Position a fresh stream as if n uniform doubles had been drawn."""
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _constants(const, mult):
+    """The hash constants of _POOL_SIZE successive hashmix steps from
+    const, as a uint64 column, and the constant after them."""
+    column = []
+    for _ in range(_POOL_SIZE):
+        column.append([const])
+        const = const * mult & _MASK32
+    return np.array(column, np.uint64), const
+
+
+def _seed_pool(seed: int):
+    """SeedSequence's pool after the seed's first four 32-bit words
+    (zero-padded) are hashed in and mixed, as a uint64 column; the hash
+    constant after it; and the seed's later words. The seed alone fixes
+    these, so they are computed once for all modes, in Python ints."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    const, pool = _INIT_A, []
+    for word in words[:_POOL_SIZE]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    return np.array(pool, np.uint64)[:, None], const, words[_POOL_SIZE:]
+
+
+def mode_keys(seed: int, modes) -> np.ndarray:
+    """The (len(modes), 2) uint64 Philox keys of
+    SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64), i in modes.
+
+    After the seed's pool (_seed_pool), SeedSequence hashes each later
+    entropy word (seed words past the fourth, then the spawn word i) into
+    every pool word and hashes the pool into four output words. That runs
+    on a (4, len(modes)) uint64 array reduced mod 2^32, all modes at once.
+    """
+    spawn = np.asarray(modes)
+    if spawn.dtype.kind not in "iuO":
+        raise ValueError(f"mode indices must be integers, got {spawn.dtype}")
+    bad = spawn[(spawn < 0) | (spawn > _MASK32)]
+    if bad.size:   # a larger index would take two spawn words
+        raise ValueError(f"mode index {bad.flat[0]} is outside [0, 2**32)")
+    pool, const, words = _seed_pool(check_seed(seed))
+    for word in [*words, spawn.astype(np.uint64)]:
+        column, const = _constants(const, _MULT_A)
+        pool = _mix(pool, _hashmix(word, column, _MULT_A)[0])
+    out = _hashmix(pool, _constants(_INIT_B, _MULT_B)[0], _MULT_B)[0]   # generate_state's words
+    keys = np.empty((len(spawn), 2), np.uint64)
+    keys[:, 0] = out[0] | out[1] << 32   # little end first
+    keys[:, 1] = out[2] | out[3] << 32
+    return keys
+
+
+def position(gen: np.random.Generator, key, n: int) -> np.random.Generator:
+    """Set gen's Philox to the stream of ``key`` as if its first n uniform
+    doubles had been drawn: counter n // 4 with an empty buffer, which is
+    what Philox.advance(n // 4) leaves on a fresh stream, then the n % 4
+    remaining draws."""
     if n < 0:
         raise ValueError("cannot skip a negative number of draws")
     blocks, rem = divmod(n, _PHILOX_DRAWS_PER_BLOCK)
-    if blocks:
-        gen.bit_generator.advance(blocks)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [blocks >> s & _MASK64 for s in (0, 64, 128, 192)], "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": _PHILOX_DRAWS_PER_BLOCK,
+        "has_uint32": 0, "uinteger": 0}
     if rem:
         gen.random(rem)
     return gen
 
 
+def generator() -> np.random.Generator:
+    """A Generator on a Philox for position() to set to a stream. (Philox
+    still seeds itself from OS entropy here; position replaces all of it.)"""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def mode_stream(seed: int, mode_index: int) -> np.random.Generator:
+    """Independent stream for one mode of one seeded experiment."""
+    return position(generator(), mode_keys(seed, [mode_index])[0], 0)
+
+
 def mode_uniforms(seed: int, mode_index: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform doubles [start, start+count) of one mode stream."""
     gen = mode_stream(seed, mode_index)
-    skip_uniforms(gen, start)
-    return gen.random(count)
+    return position(gen, gen.bit_generator.state["state"]["key"], start).random(count)
 
 
 def unit_circle(u, out=None):

@@ -228,14 +228,14 @@ class TestValidation:
         # three threads of 10 rows; the one that starts at row 10 fails
         monkeypatch.setattr(kernels, "WORKERS", 3)
         monkeypatch.setattr(kernels, "MIN_ROWS", 10)
-        skip = rng.skip_uniforms
+        position = rng.position
 
-        def skip_or_fail(gen, n):
+        def position_or_fail(gen, key, n):
             if n == 10 * rng.BLOCK_NORMAL_PAIR:
                 raise error
-            return skip(gen, n)
+            return position(gen, key, n)
 
-        monkeypatch.setattr(rng, "skip_uniforms", skip_or_fail)
+        monkeypatch.setattr(rng, "position", position_or_fail)
         rc = main(["total-field", "--seed", "1", "--kind", "modified", "--samples", "30",
                    "--out", str(tmp_path / "o")])
         assert rc == 1

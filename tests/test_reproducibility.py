@@ -130,8 +130,8 @@ def test_mode_sum_thread_invariant(monkeypatch, kind, modes, shape):
     ranges = []
     sum_rows = kernels._sum_rows
 
-    def traced(out, normal, coef_a, coef_b, streams, seed, start):
-        sum_rows(out, normal, coef_a, coef_b, streams, seed, start)
+    def traced(out, normal, coef_a, coef_b, keys, start):
+        sum_rows(out, normal, coef_a, coef_b, keys, start)
         ranges.append((start - THREAD_START, len(out), threading.get_ident()))
 
     monkeypatch.setattr(kernels, "_sum_rows", traced)

@@ -28,6 +28,32 @@ class TestStreams:
         got = rng.mode_uniforms(9, 2, 16, start=start)
         assert np.array_equal(ref[start:], got)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200, 2**999 + 12345],
+                             ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^200", "1000-bit"])
+    def test_mode_keys_are_seed_sequence_keys(self, seed):
+        modes = [0, 1, 2**31, 2**32 - 1]
+        ref = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+               for i in modes]
+        keys = rng.mode_keys(seed, np.array(modes, dtype=np.int64))
+        assert keys.dtype == np.uint64 and np.array_equal(keys, ref)
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(7,))))
+        assert np.array_equal(rng.mode_stream(seed, 7).random(9), ref.random(9))
+
+    @pytest.mark.parametrize("index", [-1, 2**32, 2**70])
+    def test_mode_index_outside_one_spawn_word(self, index):
+        with pytest.raises(ValueError, match=f"mode index {index} "):
+            rng.mode_keys(3, [0, index])
+        with pytest.raises(ValueError, match=f"mode index {index} "):
+            rng.mode_stream(3, index)
+
+    @pytest.mark.parametrize("n", [0, 5, 4 * 2**64 + 6])
+    def test_position_is_advance_and_remainder(self, n):
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(4, spawn_key=(1,))))
+        ref.bit_generator.advance(n // 4)
+        ref.random(n % 4)
+        gen = rng.position(rng.mode_stream(8, 0), rng.mode_keys(4, [1])[0], n)
+        assert np.array_equal(gen.random(9), ref.random(9))
+
     def test_seed_validation(self):
         with pytest.raises(ValueError, match="seed"):
             rng.check_seed(-1)
@@ -36,6 +62,8 @@ class TestStreams:
         with pytest.raises(ValueError, match="seed"):
             rng.check_seed(True)
         assert rng.check_seed(np.int64(3)) == 3
+        with pytest.raises(ValueError, match="seed"):
+            rng.mode_keys(-1, [0])
 
 
 class TestUnitCircle:
@@ -87,14 +115,14 @@ class TestModeSum:
         monkeypatch.setattr(kernels, "WORKERS", 3)
         monkeypatch.setattr(kernels, "MIN_ROWS", 10)
         monkeypatch.setattr(kernels, "CHUNK", 4)
-        skip = rng.skip_uniforms
+        position = rng.position
 
-        def skip_or_fail(gen, n):
+        def position_or_fail(gen, key, n):
             if n == 10 * rng.BLOCK_NORMAL_PAIR:
                 raise MemoryError("no room for range 2")
-            return skip(gen, n)
+            return position(gen, key, n)
 
-        monkeypatch.setattr(rng, "skip_uniforms", skip_or_fail)
+        monkeypatch.setattr(rng, "position", position_or_fail)
         finished = []
         sum_rows = kernels._sum_rows
 
