@@ -86,8 +86,12 @@ def _point(v, nonzero=False) -> bool:   # nonzero: can be normalized
         return False
 
 
+def _count(v, minimum) -> bool:   # below 2**63: numpy takes a count as a C long
+    return _number(v, int) and minimum <= v < 2**63
+
+
 def _int(minimum):
-    return _check(lambda v: _number(v, int) and v >= minimum, f"an integer >= {minimum}")
+    return _check(lambda v: _count(v, minimum), f"an integer in [{minimum}, 2**63)")
 
 
 def _choice(*options):
@@ -119,6 +123,7 @@ def _grid(box_side, omega_cutoff):
                      "polarizations": ([1, 2], _list(_choice(1, 2)))})
 
 
+SEED = _check(lambda v: _number(v, int) and v >= 0, "an integer >= 0")   # any size, no 2**63 cap
 REAL = _check(_number, "a finite real number", float)
 POSITIVE = _check(lambda v: _number(v) and v > 0, "a finite real number > 0", float)
 POINT = _check(_point, "three finite real numbers", lambda v: list(map(float, v)))
@@ -137,7 +142,7 @@ SAMPLING = dict(
     rng_layout=(2, _choice(2)))
 FIELD = dict(SAMPLING, r=([0.0, 0.0, 0.0], POINT), t=(0.0, REAL), grid=_grid(2.0 * np.pi, 2.5))
 
-SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, _int(0)),
+SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SEED),
                    "out": ("zpfsim-out", _check(
                        lambda v: isinstance(v, str) and v and _dir_path(v),
                        "a non-empty path to a directory, not to or under a file")), **spec}
@@ -155,9 +160,9 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, _i
         shells=({}, _object({
             "n_shells": (96, _int(2)),
             "directions": ("axes", _check(
-                lambda v: v == "axes" or (_number(v, int) and v >= 1)
+                lambda v: v == "axes" or _count(v, 1)
                 or (isinstance(v, list) and v and all(_point(d, nonzero=True) for d in v)),
-                '"axes", a count >= 1 or a list of nonzero 3-vectors')),
+                '"axes", a count in [1, 2**63) or a list of nonzero 3-vectors')),
             "coverage": (0.999, _check(lambda v: _number(v) and 0 < v < 1,
                                        "a number in (0, 1)", float))})),
         quadrature=({}, _object({

@@ -2,10 +2,11 @@
 
 Every mode of a grid owns an independent counter-based stream: a Philox
 bit generator keyed by numpy's SeedSequence(seed, spawn_key=(mode_index,))
-key. mode_keys computes the keys of all modes in one vectorized pass of
-SeedSequence's hash, and position sets a reused generator to any key and
-draw count by assigning its state, so no SeedSequence or Philox is built
-per mode. Draws are blocked by realization index: realization j of a
+key. numpy hashes the seed (SeedSequence(seed).pool); mode_keys hashes
+only the spawn words and the output words, all modes in one vectorized
+pass. position sets a reused generator (generator(): a fixed seed
+sequence, no OS entropy) to any key and draw count by assigning its state.
+Draws are blocked by realization index: realization j of a
 random-phase field consumes uniform j of each mode stream, and realization
 j of a complex-Gaussian field consumes uniforms (2j, 2j+1). The fixed block
 layout means any single mode, any realization row, or any contiguous slice
@@ -49,13 +50,11 @@ def check_seed(seed) -> int:
 
 def _hashmix(value, const, mult):
     """SeedSequence's hashmix: value ^= const, const *= mult, value *= const,
-    value ^= value >> 16, modulo 2^32. Returns (value, const). Python ints
-    or uint64 arrays, which broadcast: a column of four successive
-    constants hashes one word four times at once."""
+    value ^= value >> 16, modulo 2^32, on uint64 arrays, which broadcast: a
+    column of four successive constants hashes one word four times at once."""
     value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+    value = value * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -66,41 +65,20 @@ def _mix(x, y):
 
 def _constants(const, mult):
     """The hash constants of _POOL_SIZE successive hashmix steps from
-    const, as a uint64 column, and the constant after them."""
-    column = []
-    for _ in range(_POOL_SIZE):
-        column.append([const])
-        const = const * mult & _MASK32
-    return np.array(column, np.uint64), const
-
-
-def _seed_pool(seed: int):
-    """SeedSequence's pool after the seed's first four 32-bit words
-    (zero-padded) are hashed in and mixed, as a uint64 column; the hash
-    constant after it; and the seed's later words. The seed alone fixes
-    these, so they are computed once for all modes, in Python ints."""
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    const, pool = _INIT_A, []
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    return np.array(pool, np.uint64)[:, None], const, words[_POOL_SIZE:]
+    const, as a uint64 column."""
+    return np.array([[const * pow(mult, j, 1 << 32) & _MASK32] for j in range(_POOL_SIZE)],
+                    np.uint64)
 
 
 def mode_keys(seed: int, modes) -> np.ndarray:
     """The (len(modes), 2) uint64 Philox keys of
     SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64), i in modes.
 
-    After the seed's pool (_seed_pool), SeedSequence hashes each later
-    entropy word (seed words past the fourth, then the spawn word i) into
-    every pool word and hashes the pool into four output words. That runs
-    on a (4, len(modes)) uint64 array reduced mod 2^32, all modes at once.
+    numpy's SeedSequence(seed).pool is the seed's hashed pool, the same for
+    every mode; its hashmix steps, 16 plus 4 per seed word past the fourth,
+    fix the next hash constant. SeedSequence then hashes the spawn word i
+    into every pool word and hashes the pool into four output words. Those
+    two steps run on a (4, len(modes)) uint64 array, all modes at once.
     """
     spawn = np.asarray(modes)
     if spawn.dtype.kind not in "iuO":
@@ -108,11 +86,12 @@ def mode_keys(seed: int, modes) -> np.ndarray:
     bad = spawn[(spawn < 0) | (spawn > _MASK32)]
     if bad.size:   # a larger index would take two spawn words
         raise ValueError(f"mode index {bad.flat[0]} is outside [0, 2**32)")
-    pool, const, words = _seed_pool(check_seed(seed))
-    for word in [*words, spawn.astype(np.uint64)]:
-        column, const = _constants(const, _MULT_A)
-        pool = _mix(pool, _hashmix(word, column, _MULT_A)[0])
-    out = _hashmix(pool, _constants(_INIT_B, _MULT_B)[0], _MULT_B)[0]   # generate_state's words
+    seed = check_seed(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - _POOL_SIZE), 1 << 32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    pool = _mix(pool, _hashmix(spawn.astype(np.uint64), _constants(const, _MULT_A), _MULT_A))
+    out = _hashmix(pool, _constants(_INIT_B, _MULT_B), _MULT_B)   # generate_state's words
     keys = np.empty((len(spawn), 2), np.uint64)
     keys[:, 0] = out[0] | out[1] << 32   # little end first
     keys[:, 1] = out[2] | out[3] << 32
@@ -137,21 +116,28 @@ def position(gen: np.random.Generator, key, n: int) -> np.random.Generator:
     return gen
 
 
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence of zero words; position() assigns the whole state."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
 def generator() -> np.random.Generator:
-    """A Generator on a Philox for position() to set to a stream. (Philox
-    still seeds itself from OS entropy here; position replaces all of it.)"""
-    return np.random.Generator(np.random.Philox(key=0))
+    """A Generator on a Philox for position() to set to a stream. Its seed
+    sequence is fixed, so building it reads no OS entropy."""
+    return np.random.Generator(np.random.Philox(_ZeroSeed()))
 
 
-def mode_stream(seed: int, mode_index: int) -> np.random.Generator:
-    """Independent stream for one mode of one seeded experiment."""
-    return position(generator(), mode_keys(seed, [mode_index])[0], 0)
+def mode_stream(seed: int, mode_index: int, start: int = 0) -> np.random.Generator:
+    """The stream of one mode of one seeded experiment, positioned after
+    its first ``start`` uniforms."""
+    return position(generator(), mode_keys(seed, [mode_index])[0], start)
 
 
 def mode_uniforms(seed: int, mode_index: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform doubles [start, start+count) of one mode stream."""
-    gen = mode_stream(seed, mode_index)
-    return position(gen, gen.bit_generator.state["state"]["key"], start).random(count)
+    return mode_stream(seed, mode_index, start).random(count)
 
 
 def unit_circle(u, out=None):

@@ -153,6 +153,11 @@ class TestValidation:
         # a custom grid is not scaled: only the default factors pass
         ("generating", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0}, '
          '"density_factors": [2.0]}', "'density_factors'"),
+        # counts of 2**63 or more, past what numpy takes as a C long
+        ("figure1", '{"points": 9223372036854775808}', "'points'"),
+        ("generating", '{"s_points": 9223372036854775808}', "'s_points'"),
+        ("oscillator", '{"shells": {"n_shells": 9223372036854775808}, '
+         '"constants": {"electron_charge": 0.01}}', "'shells.n_shells'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -166,7 +171,7 @@ class TestValidation:
             "rng_layout_1_sample_mode", "rng_layout_1_total_field", "rng_layout_3_oscillator",
             "rng_layout_text", "huge_t_total_field", "huge_r_total_field",
             "huge_t_sample_mode", "huge_t_oscillator", "huge_t_oscillator_before_quadrature",
-            "density_custom_grid"])
+            "density_custom_grid", "points_2^63", "s_points_2^63", "n_shells_2^63"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)

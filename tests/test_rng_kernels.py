@@ -23,13 +23,15 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 7, 12, 101])
-    def test_skip_uniforms_positions_exactly(self, start):
+    def test_mode_uniforms_at_start(self, start):
         ref = rng.mode_stream(9, 2).random(start + 16)
         got = rng.mode_uniforms(9, 2, 16, start=start)
         assert np.array_equal(ref[start:], got)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200, 2**999 + 12345],
-                             ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^200", "1000-bit"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128,
+                                      2**200, 2**999 + 12345],
+                             ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^128-1", "2^128",
+                                  "2^200", "1000-bit"])
     def test_mode_keys_are_seed_sequence_keys(self, seed):
         modes = [0, 1, 2**31, 2**32 - 1]
         ref = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
@@ -38,6 +40,17 @@ class TestStreams:
         assert keys.dtype == np.uint64 and np.array_equal(keys, ref)
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(7,))))
         assert np.array_equal(rng.mode_stream(seed, 7).random(9), ref.random(9))
+
+    def test_generator_reads_no_os_entropy(self, monkeypatch):
+        def os_entropy(bits):
+            raise AssertionError("OS entropy read")
+        # an unseeded SeedSequence draws its entropy through bit_generator.randbits
+        monkeypatch.setattr(np.random.bit_generator, "randbits", os_entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.SeedSequence()
+        assert isinstance(rng.generator(), np.random.Generator)
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(6, spawn_key=(2,))))
+        assert np.array_equal(rng.mode_stream(6, 2, start=3).random(5), ref.random(8)[3:])
 
     @pytest.mark.parametrize("index", [-1, 2**32, 2**70])
     def test_mode_index_outside_one_spawn_word(self, index):
