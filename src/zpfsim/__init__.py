@@ -30,15 +30,13 @@ from .lattice import (
 from .dists import (
     Arcsine,
     BesselProductGF,
+    FiniteLaw,
     GaussianGF,
     GaussianMode,
     InsufficientRangeError,
     boyer_generating,
-    classical_oscillator_pdf,
-    gaussian_mode_pdf,
     hermite_function,
     invert_characteristic,
-    lattice_gaussian_generating,
     quantum_oscillator_pdf,
     total_field_sigma,
 )
@@ -46,10 +44,8 @@ from .oscillator import (
     ConvergenceError,
     OscillatorParams,
     bohr_radius_sq,
-    coordinate_axis_variance,
     coordinate_ensemble,
     coordinate_sample,
-    oscillator_generating,
     predicted_variance,
     resonance_integral,
     resonance_shell_grid,

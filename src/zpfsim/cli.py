@@ -18,7 +18,8 @@ config key, top-level or nested, or a bad value exits 1 naming the field.
 Only a run that succeeds writes: its resolved config as manifest.json
 (re-ingestable via --config), report.json and CSV with 17 significant
 digits. Exit codes: 0 success, 1 usage or validation error or a run too
-large for memory, 2 numerical error.
+large for memory, 2 numerical error (an arithmetic failure, a quadrature or
+inversion that fails, or a nan or inf in the report).
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from . import dists, fields, oscillator, stats
 from .constants import PhysicalConstants
 from .dists import (
     Arcsine,
+    FiniteLaw,
     GaussianMode,
     InsufficientRangeError,
     boyer_generating,
-    classical_oscillator_pdf,
     hermite_function,
     quantum_oscillator_pdf,
     total_field_sigma,
@@ -86,12 +87,12 @@ def _point(v, nonzero=False) -> bool:   # nonzero: can be normalized
         return False
 
 
-def _count(v, minimum) -> bool:   # below 2**63: numpy takes a count as a C long
-    return _number(v, int) and minimum <= v < 2**63
+def _count(v, minimum) -> bool:   # at most 2**53, so that np.linspace rounds no count
+    return _number(v, int) and minimum <= v <= 2**53
 
 
 def _int(minimum):
-    return _check(lambda v: _count(v, minimum), f"an integer in [{minimum}, 2**63)")
+    return _check(lambda v: _count(v, minimum), f"an integer in [{minimum}, 2**53]")
 
 
 def _choice(*options):
@@ -123,7 +124,7 @@ def _grid(box_side, omega_cutoff):
                      "polarizations": ([1, 2], _list(_choice(1, 2)))})
 
 
-SEED = _check(lambda v: _number(v, int) and v >= 0, "an integer >= 0")   # any size, no 2**63 cap
+SEED = _check(lambda v: _number(v, int) and v >= 0, "an integer >= 0")   # any size: no count cap
 REAL = _check(_number, "a finite real number", float)
 POSITIVE = _check(lambda v: _number(v) and v > 0, "a finite real number > 0", float)
 POINT = _check(_point, "three finite real numbers", lambda v: list(map(float, v)))
@@ -162,7 +163,7 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SE
             "directions": ("axes", _check(
                 lambda v: v == "axes" or _count(v, 1)
                 or (isinstance(v, list) and v and all(_point(d, nonzero=True) for d in v)),
-                '"axes", a count in [1, 2**63) or a list of nonzero 3-vectors')),
+                '"axes", a count in [1, 2**53] or a list of nonzero 3-vectors')),
             "coverage": (0.999, _check(lambda v: _number(v) and 0 < v < 1,
                                        "a number in (0, 1)", float))})),
         quadrature=({}, _object({
@@ -259,7 +260,7 @@ def cmd_sample_mode(cfg):
 def cmd_total_field(cfg):
     grid = _mode_grid(cfg["grid"], PhysicalConstants(**cfg["constants"]))
     component = unit_vector(cfg["component"])
-    sigma_comp = float(np.sqrt(grid.component_variance(component)))
+    sigma_comp = float(np.sqrt(FiniteLaw.of("modified", grid, component).variance))
     _check(lambda c: sigma_comp > 0, "a direction in which the grid's field varies")(
         cfg["component"], "component")
     batch = fields.sample_field_batch(
@@ -288,7 +289,8 @@ def cmd_oscillator(cfg):
         params, constants, n_shells=shells["n_shells"],
         directions=None if shells["directions"] == "axes" else shells["directions"],
         coverage=shells["coverage"])
-    grid_var = [oscillator.coordinate_axis_variance(grid, params, a) for a in np.eye(3)]
+    h = oscillator.transfer(grid.omega, params)
+    grid_var = [FiniteLaw.of("modified", grid, a, h.real, h.imag).variance for a in np.eye(3)]
     _check(lambda d: min(grid_var) > 0, "directions whose modes drive every axis")(
         shells["directions"], "shells.directions")
     oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
@@ -321,14 +323,15 @@ def cmd_figure1(cfg):
     x_g = np.linspace(-4.0, 4.0, cfg["points"])
     wave = hermite_function(level, alpha * x_cl)
     zeros = int(np.sum(np.sign(wave[1:]) * np.sign(wave[:-1]) < 0))
+    classical = Arcsine(amplitude).pdf
     summary = {
         "level": level, "alpha": alpha, "amplitude": amplitude,
         "interior_zeros": zeros,
-        "classical_pdf_at_0": float(classical_oscillator_pdf(0.0, amplitude)),
+        "classical_pdf_at_0": float(classical(0.0)),
     }
     return summary, {
         "classical_pdf.csv": _csv("classical oscillator pdf", ("x", "pdf"),
-                                  [x_cl, classical_oscillator_pdf(x_cl, amplitude)],
+                                  [x_cl, classical(x_cl)],
                                   {"amplitude": amplitude}),
         f"quantum_pdf_n{level}.csv": _csv("quantum oscillator pdf", ("x", "pdf"),
                                           [x_cl, quantum_oscillator_pdf(level, x_cl, alpha)],
@@ -356,7 +359,7 @@ def cmd_generating(cfg):
                             f"fields 'grid' and 'density_factors[{i}]' give")
                  for i, f in enumerate(cfg["density_factors"])]
         labels = [f"density_{i}" for i in range(len(grids))]
-    variances = [grid.component_variance(direction) for grid in grids]
+    variances = [FiniteLaw.of("modified", grid, direction).variance for grid in grids]
     _check(lambda d: min(variances) > 0, "a direction in which the grid's field varies")(
         cfg["direction"], "direction")
     sigma_e = total_field_sigma(cutoff, constants)
@@ -398,15 +401,20 @@ COMMANDS = {
 def run(cfg, as_json: bool) -> int:
     """The one run writer: cfg's command only computes (summary, files),
     files mapping each output file name, in order, to the call that writes
-    it; only then is cfg["out"] made and every file written into it."""
+    it; only when the summary holds no nan or inf is cfg["out"] made and
+    every file written into it."""
     summary, files = COMMANDS[cfg["command"]](cfg)
+    summary["files"] = list(files)
+    try:
+        report = json.dumps(summary, indent=1, allow_nan=False)
+    except ValueError as exc:   # a nan or inf statistic
+        raise FloatingPointError(f"report.json would hold a non-finite statistic: {exc}") from exc
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
         write(out / name)
-    summary["files"] = list(files)
     (out / "manifest.json").write_text(json.dumps(cfg, indent=1))
-    (out / "report.json").write_text(json.dumps(summary, indent=1))
+    (out / "report.json").write_text(report)
     print(json.dumps(summary) if as_json
           else "\n".join(f"{key}: {value}" for key, value in summary.items()))
     return 0
@@ -438,7 +446,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, InsufficientRangeError) as exc:
+    except (ArithmeticError, ConvergenceError, InsufficientRangeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

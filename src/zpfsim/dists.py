@@ -39,23 +39,6 @@ def normal_square(a) -> bool:
     return a > 0.0 and sys.float_info.min <= a * a <= sys.float_info.max
 
 
-def classical_oscillator_pdf(x, amplitude: float):
-    """Position density 1/(pi*sqrt(A^2 - x^2)) of a fixed-amplitude sinusoid.
-
-    The density is unbounded at the endpoints; x = +-A evaluates to inf and
-    statistical tests should use the cdf.
-    """
-    if not normal_square(amplitude):
-        raise ValueError(f"amplitude must lie in about [1.5e-154, 1.3e154], so that its "
-                         f"square is a finite normal double, got {amplitude!r}")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) <= amplitude
-    with np.errstate(divide="ignore"):
-        out[inside] = 1.0 / (np.pi * np.sqrt(amplitude**2 - x[inside] ** 2))
-    return float(out) if out.ndim == 0 else out
-
-
 def hermite_function(n: int, xi):
     """Orthonormal Hermite function h_n(xi) by the stable normalized
     recurrence h_{m+1} = sqrt(2/(m+1)) xi h_m - sqrt(m/(m+1)) h_{m-1}
@@ -81,15 +64,6 @@ def quantum_oscillator_pdf(n: int, x, alpha: float):
         raise ValueError("alpha must be strictly positive")
     x = np.asarray(x, dtype=float)
     out = alpha * hermite_function(n, alpha * x) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_mode_pdf(e, sigma: float):
-    """Normal density with standard deviation sigma (single-mode law)."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be strictly positive")
-    e = np.asarray(e, dtype=float)
-    out = np.exp(-(e**2) / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,15 +114,15 @@ class FiniteLaw:
     """Exact law of one component of a linear observable on a finite mode set:
     sum_k A_k cos(theta_k) for Boyer rows, whose A_k carry the sqrt(2), and
     sum_k A_k N_k for modified rows. ``of`` is the one place a grid and a
-    per-mode response re + i*im become a law: along the unit direction d,
-    A_k = |hypot(a_k, b_k) (eps_k . d)| over the rows (a_k, b_k) of
-    fields._mode_coefficients."""
+    per-mode response re + i*im (by default 1, the field's own) become a law:
+    along the unit direction d, A_k = |hypot(a_k, b_k) (eps_k . d)| over the
+    rows (a_k, b_k) of fields._mode_coefficients."""
 
     kind: FieldKind
     amplitudes: np.ndarray
 
     @classmethod
-    def of(cls, kind, grid: ModeGrid, re, im, direction) -> "FiniteLaw":
+    def of(cls, kind, grid: ModeGrid, direction, re=1.0, im=0.0) -> "FiniteLaw":
         a, b = _mode_coefficients(kind := _as_kind(kind), grid.sigma, re, im)
         return cls(kind, np.abs(np.hypot(a, b) * (grid.eps @ unit_vector(direction))))
 
@@ -180,14 +154,7 @@ class FiniteLaw:
 def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function prod_k J0(A_k s) of the
     random-phase field component, A_k = sqrt(2) sigma_k |shat . eps_k|."""
-    return FiniteLaw.of("boyer", grid, 1.0, 0.0, s_direction)(s)
-
-
-def lattice_gaussian_generating(s, s_direction, grid: ModeGrid):
-    """Gaussian generating function with the variance summed over the same
-    grid, exp(-s^2/2 * sum_k sigma_k^2 (shat.eps_k)^2). This is the
-    retained-quadratic-terms limit of the Bessel product on that grid."""
-    return FiniteLaw.of("modified", grid, 1.0, 0.0, s_direction)(s)
+    return FiniteLaw.of("boyer", grid, s_direction)(s)
 
 
 @dataclass(frozen=True)
@@ -284,7 +251,12 @@ class GaussianMode:
     sigma: float
 
     def pdf(self, x):
-        return gaussian_mode_pdf(x, self.sigma)
+        """Normal density with standard deviation sigma (single-mode law)."""
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be strictly positive")
+        x = np.asarray(x, dtype=float)
+        out = np.exp(-(x**2) / (2.0 * self.sigma**2)) / np.sqrt(2.0 * np.pi * self.sigma**2)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         if not self.sigma > 0.0:
@@ -307,7 +279,21 @@ class Arcsine:
     amplitude: float
 
     def pdf(self, x):
-        return classical_oscillator_pdf(x, self.amplitude)
+        """Position density 1/(pi*sqrt(A^2 - x^2)) of a fixed-amplitude sinusoid.
+
+        The density is unbounded at the endpoints; x = +-A evaluates to inf and
+        statistical tests should use the cdf.
+        """
+        a = self.amplitude
+        if not normal_square(a):
+            raise ValueError(f"amplitude must lie in about [1.5e-154, 1.3e154], so that its "
+                             f"square is a finite normal double, got {a!r}")
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        inside = np.abs(x) <= a
+        with np.errstate(divide="ignore"):
+            out[inside] = 1.0 / (np.pi * np.sqrt(a**2 - x[inside] ** 2))
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         """Antiderivative of the classical-oscillator density:

@@ -220,7 +220,8 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
     """n i.i.d. realizations of the full field vector E(r, t).
 
     Row j equals eval_field(draw_realization(kind, grid, seed), ...) for
-    realization index start + j. Work proceeds mode by mode so memory stays
+    realization index start + j. The mode sum runs in blocks of modes x
+    realizations (kernels.MODE_BLOCK mode-samples each), so memory stays
     O(n) regardless of grid size.
     """
     phi = _phases(grid, r, t)

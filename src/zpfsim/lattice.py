@@ -149,12 +149,6 @@ class ModeGrid:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
 
-    def component_variance(self, direction) -> float:
-        """Total-field variance sum_k sigma_k^2 (d . eps_k)^2 of the component
-        along a unit direction d: the variance of its modified-field law."""
-        from .dists import FiniteLaw  # dists imports this module
-        return FiniteLaw.of("modified", self, 1.0, 0.0, direction).variance
-
 
 def build_grid(box_side: float, omega_cutoff: float,
                constants: PhysicalConstants = PhysicalConstants()) -> ModeGrid:

@@ -15,8 +15,9 @@ is the observable of fields.py with per-mode response h~ for exp(-i phi_k).
 
 The Gaussian generating function of the coordinate is exact on any finite
 mode set for the modified field; the Boyer coordinate follows the Bessel
-product prod_k J0(A_k s) instead; dists.FiniteLaw holds both laws. In the
-unbounded limit the resonance approximation gives the per-axis variance
+product prod_k J0(A_k s) instead. dists.FiniteLaw.of(kind, grid, d, h.real,
+h.imag), with h = transfer(grid.omega, p), holds both laws. In the unbounded
+limit the resonance approximation gives the per-axis variance
 sigma_q^2 = hbar / (2 m nu0), and confining the distribution to two
 quadrature axes reproduces the ground-state mean square radius hbar / (m nu0).
 """
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .dists import FiniteLaw
 from .fields import FieldRealization, SampleSet, _finite_phase, observe, sample_observable
 from .lattice import ModeGrid, polarization_basis, vector_lengths
 
@@ -100,21 +100,6 @@ def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
     return sample_observable(kind, grid, ht.real, ht.imag, n, seed, start, {
         "t": float(t), "params": {"nu0": p.nu0, "gamma": p.gamma,
                                   "gamma_prime": p.gamma_prime, "mass": p.mass}})
-
-
-def coordinate_axis_variance(grid: ModeGrid, p: OscillatorParams, direction) -> float:
-    """Exact per-grid variance sum_k sigma_k^2 |h(w_k)|^2 (d.eps_k)^2 of the
-    coordinate along a unit direction d: that of its modified-field law."""
-    h = transfer(grid.omega, p)
-    return FiniteLaw.of("modified", grid, h.real, h.imag, direction).variance
-
-
-def oscillator_generating(s, s_direction, grid: ModeGrid, p: OscillatorParams):
-    """Gaussian generating function exp(-(s^2/2) sum_k A_k^2) of the coordinate,
-    A_k = sigma_k |h(w_k)| |shat.eps_k|: its exact law for the modified field,
-    which the Boyer law approaches only when many comparable modes contribute."""
-    h = transfer(grid.omega, p)
-    return FiniteLaw.of("modified", grid, h.real, h.imag, s_direction)(s)
 
 
 def predicted_variance(p: OscillatorParams, constants: PhysicalConstants) -> float:

@@ -21,6 +21,12 @@ WEAK = PhysicalConstants(electron_charge=0.01)
 ALPHA = 0.01
 
 
+def coordinate_law(grid, p, direction):
+    """Exact law of the coordinate along direction for the modified field."""
+    h = z.transfer(grid.omega, p)
+    return z.FiniteLaw.of("modified", grid, direction, h.real, h.imag)
+
+
 def report(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -97,7 +103,7 @@ def test_criterion_4_central_limit_convergence():
                                 constants=CONSTS)       # 2 modes
     results = {}
     for label, grid, seed in (("big", big, 105), ("pair", pair, 106)):
-        sig = np.sqrt(grid.component_variance(xhat))
+        sig = np.sqrt(z.FiniteLaw.of("modified", grid, xhat).variance)
         for kind in ("boyer", "modified"):
             batch = z.sample_field_batch(kind, grid, [0, 0, 0], 0.0, n, seed)
             results[(label, kind)] = z.ks_test(batch.values @ xhat,
@@ -123,7 +129,7 @@ def test_criterion_5_generating_function_convergence():
     for factor in (1.0, 4.0, 16.0):   # mode density per fixed cutoff scales with V
         grid = z.build_grid(4 * np.pi * factor ** (1 / 3), cutoff, CONSTS)
         dev = np.abs(z.boyer_generating(s, shat, grid)
-                     - z.lattice_gaussian_generating(s, shat, grid))
+                     - z.FiniteLaw.of("modified", grid, shat)(s))
         devs.append(float(np.max(dev)))
     ratios = (devs[0] / devs[1], devs[1] / devs[2])
     elapsed = time.perf_counter() - t0
@@ -174,7 +180,7 @@ def test_criterion_8_oscillator_ground_state(oscillator_run):
     details = []
     for axis in range(3):
         var = float(np.var(ensemble.values[:, axis], ddof=1))
-        sig = np.sqrt(z.coordinate_axis_variance(grid, params, np.eye(3)[axis]))
+        sig = np.sqrt(coordinate_law(grid, params, np.eye(3)[axis]).variance)
         ks = z.ks_test(ensemble.values[:, axis], z.GaussianMode(sig).cdf, alpha=ALPHA)
         ok &= ks.passed and abs(var / pred - 1.0) < 0.03
         details.append(f"axis{axis}: var/pred={var / pred:.4f} D={ks.statistic:.4f}")
@@ -187,11 +193,11 @@ def test_criterion_9_exact_generating_function():
     assert len(grid) == 6
     p = z.OscillatorParams(nu0=1.0, gamma=0.05, gamma_prime=1.0, mass=1.0)
     shat = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    sigma_q = np.sqrt(z.coordinate_axis_variance(grid, p, shat))
+    sigma_q = np.sqrt(coordinate_law(grid, p, shat).variance)
     s = np.array([0.5, 1.0, 2.0]) / sigma_q
     ensemble = z.coordinate_ensemble("modified", grid, p, 0.0, 100_000, 109)
     g_emp, se = z.empirical_generating(ensemble.values @ shat, s)
-    g_th = z.oscillator_generating(s, shat, grid, p)
+    g_th = coordinate_law(grid, p, shat)(s)
     pulls = np.abs(g_emp.real - g_th) / se
     ok = bool(np.all(pulls < 3.0))
     report(9, ok,
@@ -224,7 +230,7 @@ def test_criterion_11_figure_curves():
             continue
         q, _ = integrate.quad(lambda t: z.quantum_oscillator_pdf(12, t, alpha), a, b,
                               limit=200)
-        cl, _ = integrate.quad(lambda t: z.classical_oscillator_pdf(t, 1.0), a, b)
+        cl, _ = integrate.quad(lambda t: z.Arcsine(1.0).pdf(t), a, b)
         worst = max(worst, abs(q - cl) / cl)
     xg = np.linspace(-4, 4, 2001)
     closed = np.exp(-xg**2) / np.sqrt(np.pi)
@@ -240,6 +246,6 @@ def test_criterion_11_figure_curves():
 def test_criterion_12_characteristic_roundtrip():
     x = np.linspace(-6.0, 6.0, 1201)
     pdf = z.invert_characteristic(z.GaussianGF(1.0), x, s_max=8.0)
-    err = float(np.max(np.abs(pdf - z.gaussian_mode_pdf(x, 1.0))))
+    err = float(np.max(np.abs(pdf - z.GaussianMode(1.0).pdf(x))))
     ok = err < 1e-6
     report(12, ok, f"gaussian inversion max abs error {err:.2e} (< 1e-6)")

@@ -11,16 +11,15 @@ import zpfsim
 
 PUBLIC = [
     "Arcsine", "BesselProductGF", "ConvergenceError", "EmptyGridError", "FieldKind",
-    "FieldRealization", "GaussianGF", "GaussianMode", "InsufficientRangeError", "KSResult",
-    "ModeGrid", "MomentReport", "OscillatorParams", "PhysicalConstants", "SampleSet",
-    "bohr_radius_sq", "boyer_generating", "build_grid", "classical_oscillator_pdf",
-    "coordinate_axis_variance", "coordinate_ensemble", "coordinate_sample",
-    "draw_realization", "empirical_generating", "eval_field", "gaussian_mode_pdf",
+    "FieldRealization", "FiniteLaw", "GaussianGF", "GaussianMode", "InsufficientRangeError",
+    "KSResult", "ModeGrid", "MomentReport", "OscillatorParams", "PhysicalConstants",
+    "SampleSet", "bohr_radius_sq", "boyer_generating", "build_grid", "coordinate_ensemble",
+    "coordinate_sample", "draw_realization", "empirical_generating", "eval_field",
     "grid_from_kvectors", "hermite_function", "histogram", "invert_characteristic",
-    "ks_critical", "ks_test", "lattice_gaussian_generating", "mode_amplitude", "mode_sigma",
-    "moments", "oscillator_generating", "polarization_basis", "predicted_variance",
-    "quantum_oscillator_pdf", "resonance_integral", "resonance_shell_grid",
-    "sample_field_batch", "sample_mode_batch", "total_field_sigma", "transfer",
+    "ks_critical", "ks_test", "mode_amplitude", "mode_sigma", "moments",
+    "polarization_basis", "predicted_variance", "quantum_oscillator_pdf",
+    "resonance_integral", "resonance_shell_grid", "sample_field_batch", "sample_mode_batch",
+    "total_field_sigma", "transfer",
 ]
 
 

@@ -19,6 +19,17 @@ LENGTH_WORDING = ("'component' must be three finite real numbers whose squared l
                   "a finite nonzero double")
 
 
+def run_module(*argv):
+    """python -m zpfsim argv in a child process. The child imports the package
+    under test, also when pytest alone put it on the path (pyproject's
+    pythonpath)."""
+    src = str(Path(zpfsim.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "zpfsim", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
@@ -158,6 +169,10 @@ class TestValidation:
         ("generating", '{"s_points": 9223372036854775808}', "'s_points'"),
         ("oscillator", '{"shells": {"n_shells": 9223372036854775808}, '
          '"constants": {"electron_charge": 0.01}}', "'shells.n_shells'"),
+        # counts past 2**53, which np.linspace rounds (2**63 - 1 to an empty array)
+        ("figure1", '{"points": 9223372036854775807}', "'points'"),
+        ("generating", '{"s_points": 9223372036854775807}', "'s_points'"),
+        ("total-field", '{"bins": 9223372036854775807}', "'bins'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -171,7 +186,8 @@ class TestValidation:
             "rng_layout_1_sample_mode", "rng_layout_1_total_field", "rng_layout_3_oscillator",
             "rng_layout_text", "huge_t_total_field", "huge_r_total_field",
             "huge_t_sample_mode", "huge_t_oscillator", "huge_t_oscillator_before_quadrature",
-            "density_custom_grid", "points_2^63", "s_points_2^63", "n_shells_2^63"])
+            "density_custom_grid", "points_2^63", "s_points_2^63", "n_shells_2^63",
+            "points_2^63-1", "s_points_2^63-1", "bins_2^63-1"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -223,6 +239,33 @@ class TestValidation:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: out of memory:") and size in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("oscillator", '{"constants": {"hbar": 1e-308, "electron_charge": 0.01}}'),
+        ("oscillator", '{"constants": {"c": 1e-154}}'),
+        ("oscillator", '{"constants": {"c": 1e308}}'),
+        ("oscillator", '{"constants": {"electron_charge": 1e308}}'),
+        ("generating", '{"constants": {"c": 5e-324}}'),
+        ("generating", '{"constants": {"hbar": 1e308}}'),
+        ("generating", '{"grid": {"kvectors": [[1e-160, 0, 0]], "volume": 1.0}}'),
+        ("generating", '{"constants": {"c": 1e-308}}'),
+        ("generating", '{"grid": {"omega_cutoff": 1e308}}'),
+        # the run completes, but its report would hold inf and nan
+        ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}, '
+         '"samples": 100}'),
+    ], ids=["osc_hbar_tiny", "osc_c_tiny", "osc_c_huge", "osc_charge_huge", "gen_c_denormal",
+            "gen_hbar_huge", "gen_kvector_tiny", "gen_c_tiny", "gen_cutoff_huge",
+            "osc_non_finite_report"])
+    def test_numerical_error_exit_2(self, tmp_path, command, text):
+        """An overflow, a division by zero or a non-finite statistic exits 2
+        with a message and writes nothing. The run is a child process: the
+        suite turns the numpy warnings on its way into exceptions."""
+        (tmp_path / "c.json").write_text(text)
+        out = run_module(command, "--seed", "1", "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "o"))
+        assert out.returncode == 2, out.stderr
+        assert "numerical error: " in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("error, text", [
@@ -603,14 +646,6 @@ def test_csv_files_contract(tmp_path, argv):
 
 
 def test_module_entry_point(tmp_path):
-    # the child imports the package under test, also when pytest alone put
-    # it on the path (pyproject's pythonpath)
-    src = str(Path(zpfsim.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-m", "zpfsim", "figure1", "--seed", "1",
-         "--out", str(tmp_path / "m"), "--json"],
-        capture_output=True, text=True, env=env)
+    out = run_module("figure1", "--seed", "1", "--out", str(tmp_path / "m"), "--json")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["interior_zeros"] == 12

@@ -15,13 +15,9 @@ from zpfsim import (
     OscillatorParams,
     boyer_generating,
     build_grid,
-    classical_oscillator_pdf,
-    coordinate_axis_variance,
-    gaussian_mode_pdf,
     grid_from_kvectors,
     hermite_function,
     invert_characteristic,
-    lattice_gaussian_generating,
     quantum_oscillator_pdf,
     resonance_shell_grid,
     total_field_sigma,
@@ -37,7 +33,7 @@ def arcsine_quadrature_mass(amplitude, upper):
     # endpoint-transform oracle: x = A sin(t) removes the edge singularity
     t_hi = np.arcsin(np.clip(upper / amplitude, -1, 1))
     val, _ = integrate.quad(
-        lambda t: classical_oscillator_pdf(amplitude * np.sin(t), amplitude)
+        lambda t: Arcsine(amplitude).pdf(amplitude * np.sin(t))
         * amplitude * np.cos(t),
         -np.pi / 2, t_hi)
     return val
@@ -45,13 +41,13 @@ def arcsine_quadrature_mass(amplitude, upper):
 
 class TestClassicalOscillator:
     def test_center_value(self):
-        assert classical_oscillator_pdf(0.0, 1.0) == pytest.approx(1 / np.pi)
+        assert Arcsine(1.0).pdf(0.0) == pytest.approx(1 / np.pi)
 
     def test_outside_support(self):
-        assert classical_oscillator_pdf(1.5, 1.0) == 0.0
+        assert Arcsine(1.0).pdf(1.5) == 0.0
 
     def test_endpoint_unbounded(self):
-        assert np.isinf(classical_oscillator_pdf(1.0, 1.0))
+        assert np.isinf(Arcsine(1.0).pdf(1.0))
 
     def test_normalizes(self):
         assert arcsine_quadrature_mass(1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
@@ -60,7 +56,7 @@ class TestClassicalOscillator:
     def test_rejects_amplitude_with_unrepresentable_square(self, amplitude):
         # the density divides by sqrt(A^2 - x^2): A^2 must be a finite normal double
         with pytest.raises(ValueError, match="amplitude"):
-            classical_oscillator_pdf(0.0, amplitude)
+            Arcsine(amplitude).pdf(0.0)
 
 
 class TestArcsineCdf:
@@ -133,7 +129,7 @@ class TestQuantumOscillator:
                 continue
             q, _ = integrate.quad(lambda x: quantum_oscillator_pdf(12, x, 5.0), a, b,
                                   limit=200)
-            cl, _ = integrate.quad(lambda x: classical_oscillator_pdf(x, 1.0), a, b)
+            cl, _ = integrate.quad(lambda x: Arcsine(1.0).pdf(x), a, b)
             assert abs(q - cl) / cl < 0.15
 
 
@@ -148,11 +144,11 @@ class TestGaussianMode:
         assert isinstance(value, float) and value == np.exp(-(1.3**2) * 0.7**2 / 2.0)
 
     def test_center(self):
-        assert gaussian_mode_pdf(0.0, 1.0) == pytest.approx(1 / np.sqrt(2 * np.pi))
+        assert GaussianMode(1.0).pdf(0.0) == pytest.approx(1 / np.sqrt(2 * np.pi))
 
     def test_symmetric(self):
         x = np.linspace(0.1, 3.0, 30)
-        assert np.array_equal(gaussian_mode_pdf(x, 0.7), gaussian_mode_pdf(-x, 0.7))
+        assert np.array_equal(GaussianMode(0.7).pdf(x), GaussianMode(0.7).pdf(-x))
 
     def test_variance_by_gauss_hermite(self):
         # oracle: E^2 moment via Gauss-Hermite nodes, E = sqrt(2) sigma t
@@ -161,7 +157,7 @@ class TestGaussianMode:
             var = np.sum(weights * (np.sqrt(2) * sigma * nodes) ** 2) / np.sqrt(np.pi)
             assert var == pytest.approx(sigma**2, rel=1e-12)
             quad_var, _ = integrate.quad(
-                lambda e: e**2 * gaussian_mode_pdf(e, sigma), -10 * sigma, 10 * sigma)
+                lambda e: e**2 * GaussianMode(sigma).pdf(e), -10 * sigma, 10 * sigma)
             assert quad_var == pytest.approx(sigma**2, abs=1e-6)
 
 
@@ -179,7 +175,7 @@ class TestTotalFieldSigma:
         errs = []
         for box in (4 * np.pi, 8 * np.pi, 16 * np.pi):
             grid = build_grid(box, cutoff, CONSTS)
-            errs.append(abs(grid.component_variance([1, 0, 0]) / target - 1.0))
+            errs.append(abs(FiniteLaw.of("modified", grid, [1, 0, 0]).variance / target - 1.0))
         assert errs[-1] < 0.01
         assert errs[0] > errs[-1]
 
@@ -197,7 +193,7 @@ class TestGeneratingFunctions:
         proj = small_grid.eps @ shat
         per_mode = np.exp(-(s * small_grid.sigma * proj) ** 2 / 2.0)
         assert np.prod(per_mode) == pytest.approx(
-            lattice_gaussian_generating(s, shat, small_grid), rel=1e-12)
+            FiniteLaw.of("modified", small_grid, shat)(s), rel=1e-12)
 
     def test_boyer_single_mode_vs_phase_average(self):
         # J0 oracle: numerical average of exp(-i z cos(theta)) over the phase
@@ -247,7 +243,7 @@ class TestGeneratingFunctions:
             sig_e = total_field_sigma(cutoff, CONSTS)
             s = np.linspace(0, 5 / sig_e, 101)
             dev = np.abs(boyer_generating(s, shat, grid)
-                         - lattice_gaussian_generating(s, shat, grid))
+                         - FiniteLaw.of("modified", grid, shat)(s))
             devs.append(np.max(dev))
         assert devs[0] > devs[1] > devs[2]
         for ratio in (devs[0] / devs[1], devs[1] / devs[2]):
@@ -272,7 +268,7 @@ class TestGroupedBesselProduct:
                              ids=["z", "x", "random1", "random2"])
     def test_matches_per_mode_product(self, box_side, cutoff, direction):
         grid = build_grid(box_side, cutoff, CONSTS)
-        sd = np.sqrt(grid.component_variance(direction))
+        sd = np.sqrt(FiniteLaw.of("modified", grid, direction).variance)
         s = np.linspace(-10.0 / sd, 10.0 / sd, 401)
         dev = boyer_generating(s, direction, grid) - per_mode_product(s, direction, grid)
         assert np.max(np.abs(dev)) < 1e-13
@@ -318,7 +314,7 @@ class TestGroupedBesselProduct:
         with pytest.raises(ValueError, match="direction"):
             boyer_generating(1.0, direction, small_grid)
         with pytest.raises(ValueError, match="direction"):
-            small_grid.component_variance(direction)
+            FiniteLaw.of("modified", small_grid, direction).variance
 
 
 def law_rows(small_grid):
@@ -340,15 +336,15 @@ class TestFiniteLaw:
     def test_curvature_is_the_variance(self, small_grid, kind):
         """-law''(0) = variance: a dropped 1/2 in the Boyer variance fails."""
         for grid, re, im, d in law_rows(small_grid):
-            law = FiniteLaw.of(kind, grid, re, im, d)
+            law = FiniteLaw.of(kind, grid, d, re, im)
             h = 1e-3 / np.sqrt(law.variance)
             assert 2.0 * (1.0 - law(h)) / h**2 == pytest.approx(law.variance, rel=1e-5)
 
     def test_boyer_and_modified_variances_agree(self, small_grid):
         """Same rows, same variance: a dropped sqrt(2) in the Boyer rows fails."""
         for grid, re, im, d in law_rows(small_grid):
-            assert FiniteLaw.of("boyer", grid, re, im, d).variance == pytest.approx(
-                FiniteLaw.of("modified", grid, re, im, d).variance, rel=1e-14)
+            assert FiniteLaw.of("boyer", grid, d, re, im).variance == pytest.approx(
+                FiniteLaw.of("modified", grid, d, re, im).variance, rel=1e-14)
 
 
 def single_mode_arcsine(n_x):
@@ -379,7 +375,7 @@ class TestInversion:
     def test_gaussian_roundtrip(self):
         x = np.linspace(-6, 6, 1201)
         pdf = invert_characteristic(GaussianGF(1.0), x, s_max=8.0)
-        assert np.max(np.abs(pdf - gaussian_mode_pdf(x, 1.0))) < 1e-6
+        assert np.max(np.abs(pdf - GaussianMode(1.0).pdf(x))) < 1e-6
 
     def test_symmetric_output(self):
         x = np.linspace(-5, 5, 501)
@@ -465,7 +461,7 @@ class TestInversion:
             kw = dict(s_max=3000.0, n_s=2**17 + 1, decay_tol=0.05)
         else:
             grid = build_grid(4 * np.pi, 1.5, CONSTS)  # 244 modes
-            sd = np.sqrt(grid.component_variance((0.3, 0.5, 0.8)))
+            sd = np.sqrt(FiniteLaw.of("modified", grid, (0.3, 0.5, 0.8)).variance)
             gf = BesselProductGF(grid, (0.3, 0.5, 0.8))
             x = np.linspace(-8.0, 8.0, 201) * sd
             kw = dict(s_max=10.0 / sd)
@@ -488,7 +484,7 @@ class TestInversion:
         jitter = np.linspace(-6, 6, 201)
         jitter[1] += 1e-13 * 12.0
         pdf = invert_characteristic(GaussianGF(1.0), jitter, s_max=8.0)
-        assert np.max(np.abs(pdf - gaussian_mode_pdf(jitter, 1.0))) < 1e-6
+        assert np.max(np.abs(pdf - GaussianMode(1.0).pdf(jitter))) < 1e-6
 
 
 class TestEnergyDensity:
@@ -565,10 +561,12 @@ def test_simd_independent_law_bits_pinned(medium_grid):
     weak = PhysicalConstants(electron_charge=0.01)
     params = OscillatorParams.from_constants(1.0, weak)
     shells = resonance_shell_grid(params, weak, n_shells=8)
-    assert [medium_grid.component_variance(d).hex()
+    assert [FiniteLaw.of("modified", medium_grid, d).variance.hex()
             for d in ((1.0, 0.0, 0.0), (0.3, 0.5, 0.8))] == ["0x1.bbdd59ebfb8c4p-3"] * 2
-    assert [coordinate_axis_variance(shells, params, a).hex() for a in np.eye(3)] == [
+    h = transfer(shells.omega, params)
+    assert [FiniteLaw.of("modified", shells, a, h.real, h.imag).variance.hex()
+            for a in np.eye(3)] == [
         "0x1.ff7ced914b17dp-2", "0x1.ff7ced914b17ep-2", "0x1.ff7ced914b17dp-2"]
     assert digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "6b259a7b4d0d1fcd"
-    assert digest(classical_oscillator_pdf(np.linspace(-1.2, 1.2, 1001), 1.0)) == (
+    assert digest(Arcsine(1.0).pdf(np.linspace(-1.2, 1.2, 1001))) == (
         "9c86b45bed5cc739")

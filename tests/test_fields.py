@@ -5,6 +5,7 @@ from zpfsim import (
     Arcsine,
     FieldKind,
     FieldRealization,
+    FiniteLaw,
     GaussianMode,
     build_grid,
     draw_realization,
@@ -231,14 +232,14 @@ class TestSampleFieldBatch:
     def test_modified_component_gaussian_any_size(self, small_grid):
         # exact Gaussianity holds even for the smallest grids
         for grid in (single_mode_grid(), small_grid):
-            sig = np.sqrt(grid.component_variance([1.0, 0.0, 0.0]))
+            sig = np.sqrt(FiniteLaw.of("modified", grid, [1.0, 0.0, 0.0]).variance)
             batch = sample_field_batch("modified", grid, ORIGIN, 0.0, 20_000, 80)
             res = ks_test(batch.values[:, 0], GaussianMode(sig).cdf, alpha=0.01)
             assert res.passed
 
     def test_boyer_clt(self, medium_grid):
         # many modes: central-limit Gaussianity; 1- and 2-mode grids: rejected
-        sig = np.sqrt(medium_grid.component_variance([1.0, 0.0, 0.0]))
+        sig = np.sqrt(FiniteLaw.of("modified", medium_grid, [1.0, 0.0, 0.0]).variance)
         batch = sample_field_batch("boyer", medium_grid, ORIGIN, 0.0, 10_000, 81)
         assert ks_test(batch.values[:, 0], GaussianMode(sig).cdf, alpha=0.01).passed
 
@@ -247,7 +248,7 @@ class TestSampleFieldBatch:
         pair = grid_from_kvectors([[0.0, 0.0, 1.0]], volume=(2 * np.pi) ** 3,
                                   constants=CONSTS)
         for seed, grid in ((82, lone), (83, pair)):
-            sig_small = np.sqrt(grid.component_variance([1.0, 0.0, 0.0]))
+            sig_small = np.sqrt(FiniteLaw.of("modified", grid, [1.0, 0.0, 0.0]).variance)
             small = sample_field_batch("boyer", grid, ORIGIN, 0.0, 10_000, seed)
             assert not ks_test(small.values[:, 0], GaussianMode(sig_small).cdf,
                                alpha=0.01).passed

@@ -5,18 +5,16 @@ from zpfsim import (
     ConvergenceError,
     FieldKind,
     FieldRealization,
+    FiniteLaw,
     GaussianMode,
     OscillatorParams,
     bohr_radius_sq,
-    coordinate_axis_variance,
     coordinate_ensemble,
     coordinate_sample,
     draw_realization,
-    gaussian_mode_pdf,
     grid_from_kvectors,
     ks_test,
     moments,
-    oscillator_generating,
     predicted_variance,
     resonance_integral,
     resonance_shell_grid,
@@ -28,6 +26,12 @@ from zpfsim.oscillator import fibonacci_directions
 from zpfsim.stats import empirical_generating
 
 CONSTS = PhysicalConstants()
+
+
+def coordinate_law(grid, p, direction):
+    """Exact law of the coordinate along direction for the modified field."""
+    h = transfer(grid.omega, p)
+    return FiniteLaw.of("modified", grid, direction, h.real, h.imag)
 WEAK = PhysicalConstants(electron_charge=0.01)  # narrow-line oscillator regime
 
 
@@ -150,13 +154,13 @@ class TestEnsemble:
         p = OscillatorParams.from_constants(1.0, WEAK)
         grid = resonance_shell_grid(p, WEAK, n_shells=48)
         pred = predicted_variance(p, WEAK)
-        grid_var = coordinate_axis_variance(grid, p, [1, 0, 0])
+        grid_var = coordinate_law(grid, p, [1, 0, 0]).variance
         assert grid_var == pytest.approx(pred, rel=0.005)
         ens = coordinate_ensemble("modified", grid, p, 0.0, 20_000, 57)
         for axis in range(3):
             v = np.var(ens.values[:, axis], ddof=1)
             assert v == pytest.approx(pred, rel=0.05)
-            axis_sigma = np.sqrt(coordinate_axis_variance(grid, p, np.eye(3)[axis]))
+            axis_sigma = np.sqrt(coordinate_law(grid, p, np.eye(3)[axis]).variance)
             assert ks_test(ens.values[:, axis], GaussianMode(axis_sigma).cdf,
                            alpha=0.01).passed
 
@@ -179,14 +183,14 @@ class TestEnsemble:
         dense = resonance_shell_grid(p, WEAK, n_shells=48)
         pred = predicted_variance(p, WEAK)
         ens = coordinate_ensemble("boyer", dense, p, 0.0, 20_000, 59)
-        sig = np.sqrt(coordinate_axis_variance(dense, p, [1, 0, 0]))
+        sig = np.sqrt(coordinate_law(dense, p, [1, 0, 0]).variance)
         assert ks_test(ens.values[:, 0], GaussianMode(sig).cdf, alpha=0.01).passed
         assert np.var(ens.values[:, 0], ddof=1) == pytest.approx(pred, rel=0.05)
         # one or two modes in the linewidth: amplitude stays arcsine-like and
         # the Gaussian hypothesis is rejected, while the modified drive passes
         lone = grid_from_kvectors([[0.0, 0.0, p.nu0 / WEAK.c]], volume=1.0,
                                   constants=WEAK)
-        sig1 = np.sqrt(coordinate_axis_variance(lone, p, [1, 0, 0]))
+        sig1 = np.sqrt(coordinate_law(lone, p, [1, 0, 0]).variance)
         boyer1 = coordinate_ensemble("boyer", lone, p, 0.0, 20_000, 60)
         mod1 = coordinate_ensemble("modified", lone, p, 0.0, 20_000, 61)
         assert not ks_test(boyer1.values[:, 0], GaussianMode(sig1).cdf, alpha=0.01).passed
@@ -212,11 +216,11 @@ class TestEnsemble:
 
 class TestGeneratingFunction:
     def test_unit_at_zero(self):
-        assert oscillator_generating(0.0, [0, 0, 1], sparse_grid(), BROAD) == 1.0
+        assert coordinate_law(sparse_grid(), BROAD, [0, 0, 1])(0.0) == 1.0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):
-            oscillator_generating(1.0, [0, 0, 0], sparse_grid(), BROAD)
+            coordinate_law(sparse_grid(), BROAD, [0, 0, 0])(1.0)
 
     def test_single_mode_factor(self):
         grid = grid_from_kvectors([[0.0, 0.0, 0.8]], volume=1.0, constants=CONSTS,
@@ -225,7 +229,7 @@ class TestGeneratingFunction:
         s = 1.7
         h = transfer(float(grid.omega[0]), BROAD)
         expected = np.exp(-(s * float(grid.sigma[0])) ** 2 * abs(h) ** 2 / 2.0)
-        assert oscillator_generating(s, shat, grid, BROAD) == pytest.approx(
+        assert coordinate_law(grid, BROAD, shat)(s) == pytest.approx(
             expected, rel=1e-12)
 
     def test_exact_on_sparse_grid(self):
@@ -233,11 +237,11 @@ class TestGeneratingFunction:
         # characteristic function on a deliberately sparse grid
         grid = sparse_grid()
         shat = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        sigma_q = np.sqrt(coordinate_axis_variance(grid, BROAD, shat))
+        sigma_q = np.sqrt(coordinate_law(grid, BROAD, shat).variance)
         s = np.array([0.5, 1.0, 2.0]) / sigma_q
         ens = coordinate_ensemble("modified", grid, BROAD, 0.0, 50_000, 62)
         g_emp, se = empirical_generating(ens.values @ shat, s)
-        g_th = oscillator_generating(s, shat, grid, BROAD)
+        g_th = coordinate_law(grid, BROAD, shat)(s)
         assert np.all(np.abs(g_emp.real - g_th) < 3 * se)
 
     def test_dense_grid_matches_resonance_gaussian(self):
@@ -246,7 +250,7 @@ class TestGeneratingFunction:
         sq = np.sqrt(predicted_variance(p, WEAK))
         s = np.linspace(0.0, 3.0 / sq, 61)
         target = np.exp(-(s * sq) ** 2 / 2.0)
-        assert np.max(np.abs(oscillator_generating(s, (0, 0, 1), grid, p) - target)) < 0.02
+        assert np.max(np.abs(coordinate_law(grid, p, (0, 0, 1))(s) - target)) < 0.02
 
 
 class TestResonanceIntegral:
@@ -327,7 +331,7 @@ class TestClosedForms:
         assert predicted_variance(p, CONSTS) == pytest.approx(1.0)
         # the isotropic coordinate law has unit per-axis variance here; its
         # 3D mass is the cube of the 1D mass
-        mass_1d, _ = integrate.quad(lambda x: gaussian_mode_pdf(x, 1.0), -10, 10)
+        mass_1d, _ = integrate.quad(lambda x: GaussianMode(1.0).pdf(x), -10, 10)
         assert mass_1d**3 == pytest.approx(1.0, abs=1e-6)
 
     def test_bohr_radius(self):
@@ -341,15 +345,15 @@ class TestShellGrid:
         p = OscillatorParams.from_constants(1.0, WEAK)
         grid = resonance_shell_grid(p, WEAK, n_shells=96, coverage=0.999)
         for axis in np.eye(3):
-            var = coordinate_axis_variance(grid, p, axis)
+            var = coordinate_law(grid, p, axis).variance
             assert var == pytest.approx(predicted_variance(p, WEAK), rel=0.003)
 
     def test_axis_directions_give_isotropic_variance(self):
         p = OscillatorParams.from_constants(1.0, WEAK)
         grid = resonance_shell_grid(p, WEAK, n_shells=16)
-        vx = coordinate_axis_variance(grid, p, [1, 0, 0])
-        vy = coordinate_axis_variance(grid, p, [0, 1, 0])
-        vz = coordinate_axis_variance(grid, p, [0, 0, 1])
+        vx = coordinate_law(grid, p, [1, 0, 0]).variance
+        vy = coordinate_law(grid, p, [0, 1, 0]).variance
+        vz = coordinate_law(grid, p, [0, 0, 1]).variance
         assert vx == pytest.approx(vy, rel=1e-12)
         assert vy == pytest.approx(vz, rel=1e-12)
 
