@@ -442,7 +442,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # a usage error exits 1, not argparse's 2; --help 0
         return 1 if exc.code else 0
     try:
-        return run(resolve(args), args.as_json)
+        # an overflow, a nan from finite inputs or a division by zero raises
+        # FloatingPointError (exit 2) instead of printing numpy's warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return run(resolve(args), args.as_json)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

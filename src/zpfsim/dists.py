@@ -134,21 +134,44 @@ class FiniteLaw:
 
     def __call__(self, s):
         """exp(-s^2 variance / 2) for modified rows. For Boyer rows prod_k J0(A_k s),
-        evaluated once per distinct |s| (J0 is even) and once per distinct A_k,
-        that factor raised to the number of modes sharing it, in blocks of
-        about 2^20 factors."""
+        evaluated once per distinct |s| (J0 is even) and once per distinct A_k.
+        The A_k are grouped by the number m of modes sharing them; each group's
+        product p_m = prod J0(A_k |s|) is formed in one reused buffer of about
+        2^20 factors, raised to the m-th power by repeated squaring, and the
+        groups are multiplied in ascending m. Only j0 and correctly rounded
+        products are used (np.prod folds each row in order), so unlike
+        np.power the bits do not depend on numpy's SIMD level."""
         if self.kind is FieldKind.MODIFIED:
             return _gaussian_cf(s, self.variance)
         amps, mult = np.unique(self.amplitudes, return_counts=True)
         s = np.asarray(s, dtype=float)
         abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
-        out = np.ones_like(abs_s)
         block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
-        for lo in range(0, amps.size, block):
-            out *= np.prod(j0(np.outer(abs_s, amps[lo:lo + block])) ** mult[lo:lo + block],
-                           axis=1)
+        buf = np.empty(abs_s.size * min(block, amps.size))
+        out = np.ones_like(abs_s)
+        for m in np.unique(mult):
+            group = amps[mult == m]
+            p = np.ones_like(abs_s)
+            for lo in range(0, group.size, block):
+                part = group[lo:lo + block]
+                factors = buf[:abs_s.size * part.size].reshape(abs_s.size, part.size)
+                np.multiply.outer(abs_s, part, out=factors)
+                p *= np.prod(j0(factors, out=factors), axis=1)
+            out *= _int_power(p, int(m))
         out = out[inverse].reshape(s.shape)
         return float(out) if out.ndim == 0 else out
+
+
+def _int_power(p: np.ndarray, m: int) -> np.ndarray:
+    """p**m for an integer m >= 1 by repeated squaring, with * alone."""
+    result = None
+    while True:
+        if m & 1:
+            result = p if result is None else result * p
+        m >>= 1
+        if not m:
+            return result
+        p = p * p
 
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
@@ -166,18 +189,33 @@ class BesselProductGF:
         return boyer_generating(s, self.s_direction, self.grid)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:   # 3^b 5^c times the fewest 2s that reach n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_z(a, s, x0: float, dx: float, m: int) -> np.ndarray:
     """sum_j a_j exp(i (x0 + k dx) s_j) for k = 0..m-1 on a uniform s grid.
 
     Bluestein's identity k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum
     into one convolution with the chirp w(t) = exp(i dx ds t^2 / 2), done
-    by FFT at a power-of-two length of at least n + m - 1.
+    by FFT. A cyclic convolution of length L >= n + m - 1 does not alias
+    the m outputs, so L is the smallest 5-smooth length that large
+    (_fft_length).
     """
     n = s.size
     ds = (s[-1] - s[0]) / (n - 1)
     t = np.arange(1 - n, m, dtype=float)
     w = np.exp(0.5j * (dx * ds) * (t * t))  # t^2 is exact in double up to 2^53
-    size = 1 << (n + m - 2).bit_length()
+    size = _fft_length(n + m - 1)
     u = np.fft.fft(a * np.exp(1j * x0 * s) * w[n - 1::-1], size)
     conv = np.fft.ifft(u * np.fft.fft(w.conj(), size))[n - 1:n - 1 + m]
     k = np.arange(m, dtype=float)

@@ -41,6 +41,7 @@ which the tests patch to check this.
 
 from __future__ import annotations
 
+import contextvars
 import os
 
 import numpy as np
@@ -139,7 +140,10 @@ def mode_sum(kind, coef_a, coef_b, streams, n: int, seed: int, start: int) -> np
 
     edges = [n * p // parts for p in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:  # this thread sums the first range
-        done = [pool.submit(_sum_rows, out[lo:hi], *args, start + lo)
+        # each worker runs in a copy of this thread's context, so it keeps
+        # the caller's np.errstate (a context variable)
+        done = [pool.submit(contextvars.copy_context().run, _sum_rows, out[lo:hi], *args,
+                            start + lo)
                 for lo, hi in zip(edges[1:-1], edges[2:])]
         _sum_rows(out[:edges[1]], *args, start)
     for future in done:

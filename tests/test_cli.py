@@ -251,21 +251,28 @@ class TestValidation:
         ("generating", '{"grid": {"kvectors": [[1e-160, 0, 0]], "volume": 1.0}}'),
         ("generating", '{"constants": {"c": 1e-308}}'),
         ("generating", '{"grid": {"omega_cutoff": 1e308}}'),
-        # the run completes, but its report would hold inf and nan
+        # numpy overflows in the moments, also in the mode sum's second thread
         ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}, '
          '"samples": 100}'),
+        ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}}'),
     ], ids=["osc_hbar_tiny", "osc_c_tiny", "osc_c_huge", "osc_charge_huge", "gen_c_denormal",
             "gen_hbar_huge", "gen_kvector_tiny", "gen_c_tiny", "gen_cutoff_huge",
-            "osc_non_finite_report"])
+            "osc_non_finite_report", "osc_hbar_huge_two_threads"])
     def test_numerical_error_exit_2(self, tmp_path, command, text):
-        """An overflow, a division by zero or a non-finite statistic exits 2
-        with a message and writes nothing. The run is a child process: the
-        suite turns the numpy warnings on its way into exceptions."""
+        """An overflow, a division by zero or a non-finite result exits 2 with
+        one line of message and writes nothing: numpy's warnings are raised,
+        not printed. The run is a child process: the suite turns the numpy
+        warnings on its way into exceptions."""
         (tmp_path / "c.json").write_text(text)
         out = run_module(command, "--seed", "1", "--config", str(tmp_path / "c.json"),
                          "--out", str(tmp_path / "o"))
         assert out.returncode == 2, out.stderr
-        assert "numerical error: " in out.stderr and "Traceback" not in out.stderr
+        [line] = out.stderr.splitlines()
+        assert line.startswith("numerical error: ")
+        assert "RuntimeWarning" not in out.stderr and ".py:" not in out.stderr
+        if '"hbar": 1e308' in text:
+            numpy_error = "overflow" if command == "oscillator" else "invalid value"
+            assert line == f"numerical error: {numpy_error} encountered in multiply"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("error, text", [

@@ -1,11 +1,16 @@
+import bisect
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import j0, ndtr
 
+import zpfsim
 from zpfsim import (
     Arcsine,
     BesselProductGF,
@@ -24,7 +29,8 @@ from zpfsim import (
     transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import FiniteLaw, binned_energy_density, energy_density_bin_average
+from zpfsim.dists import (FiniteLaw, _chirp_z, _fft_length, binned_energy_density,
+                          energy_density_bin_average)
 
 CONSTS = PhysicalConstants()
 
@@ -252,7 +258,6 @@ class TestGeneratingFunctions:
 
 def per_mode_product(s, direction, grid):
     """Reference Bessel product: one J0 factor per mode and per s."""
-    from scipy.special import j0
     d = np.asarray(direction, dtype=float)
     scale = np.sqrt(2.0) * grid.sigma * (grid.eps @ (d / np.linalg.norm(d)))
     return np.prod(j0(np.outer(s, scale)), axis=1)
@@ -272,6 +277,17 @@ class TestGroupedBesselProduct:
         s = np.linspace(-10.0 / sd, 10.0 / sd, 401)
         dev = boyer_generating(s, direction, grid) - per_mode_product(s, direction, grid)
         assert np.max(np.abs(dev)) < 1e-13
+
+    @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "three-amplitude-blocks"])
+    def test_multiplicity_groups(self, monkeypatch, block):
+        # 8 distinct amplitudes shared by each of 1, 2, 3, 5 and 8 modes, rows shuffled
+        s = np.linspace(-12.0, 12.0, 401)
+        if block is not None:   # 201 distinct |s|: blocks of 3 amplitudes split each group
+            monkeypatch.setattr("zpfsim.dists._BLOCK_ELEMENTS", block * 201)
+        amps = np.linspace(0.05, 0.6, 40)
+        rows = np.random.default_rng(5).permutation(np.repeat(amps, np.tile([1, 2, 3, 5, 8], 8)))
+        ref = np.prod(j0(np.outer(s, rows)), axis=1)
+        assert np.max(np.abs(FiniteLaw("boyer", rows)(s) - ref)) <= 1e-13
 
     def test_even_bitwise(self, medium_grid):
         s = np.linspace(0.0, 40.0, 257)
@@ -469,6 +485,29 @@ class TestInversion:
         direct = direct_sum_inversion(gf, x, **kw)
         assert np.max(np.abs(fast - direct)) < 1e-8 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("n, m", [(2, 1), (37, 11), (64, 65), (100, 3), (5, 120)])
+    def test_chirp_z_small_sizes(self, n, m):
+        # n + m - 1 = 47 is prime for (37, 11), so its FFT pads to 48
+        gen = np.random.default_rng(n * m)
+        a = gen.normal(size=n) + 1j * gen.normal(size=n)
+        s = np.linspace(-3.0, 5.0, n)
+        x0, dx = -1.3, 0.17
+        direct = np.exp(1j * np.outer(x0 + np.arange(m) * dx, s)) @ a
+        fast = _chirp_z(a, s, x0, dx, m)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_fft_length_is_next_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        lengths = [k for k in range(1, 6001) if smooth(k)]
+        assert [_fft_length(n) for n in range(1, 5001)] == [
+            lengths[bisect.bisect_left(lengths, n)] for n in range(1, 5001)]
+        assert (_fft_length(2**17 + 1 + 401 - 1), _fft_length(8193 + 401 - 1)) == (135000, 8640)
+
     def test_non_uniform_gaussian(self):
         # the chirp-z transform needs evenly spaced x: two spacings that meet
         # at 0, and a linspace with one node moved by 1e-9 dx (5 times the
@@ -550,14 +589,34 @@ class TestDistributionCatalogue:
             GaussianMode(0.0).cdf(0.0)
 
 
-def test_simd_independent_law_bits_pinned(medium_grid):
-    """Law values built from +, -, *, /, sqrt and scipy's ndtr alone: turning
-    off AVX-512, and AVX2 as well, through NPY_DISABLE_CPU_FEATURES left
-    these bits unchanged. np.exp, np.arcsin and the Bessel product's
-    j0(...) ** mult (np.power) moved there, so none of them is pinned."""
-    def digest(values):
-        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+def law_digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
+
+def boyer_law_digests():
+    """Digests of the Boyer law FiniteLaw.of("boyer", grid, d)(s) on the
+    160-mode lattice along x and (0.3, 0.5, 0.8), and on the 244-, 920- and
+    3676-mode grids of the generating density sweep along (0.3, 0.5, 0.8),
+    each on invert_characteristic's 8193-point s grid out to 10 standard
+    deviations."""
+    d = (0.3, 0.5, 0.8)
+    cases = [(2 * np.pi, 2.5, (1.0, 0.0, 0.0)), (2 * np.pi, 2.5, d)] + [
+        (4 * np.pi * f ** (1 / 3), 1.5, d) for f in (1.0, 4.0, 16.0)]
+    digests = []
+    for box_side, cutoff, direction in cases:
+        law = FiniteLaw.of("boyer", build_grid(box_side, cutoff, CONSTS), direction)
+        s = (np.arange(8193) - 4096) * (10.0 / np.sqrt(law.variance) / 4096)
+        digests.append(law_digest(law(s)))
+    return digests
+
+
+def test_simd_independent_law_bits_pinned(medium_grid):
+    """Law values built from +, -, *, /, sqrt, scipy's j0 and ndtr and
+    sequential products alone: turning off AVX-512, and AVX2 as well,
+    through NPY_DISABLE_CPU_FEATURES left these bits unchanged (the Boyer
+    law's also in test_boyer_law_bits_without_simd_extensions). np.exp and
+    np.arcsin moved there, so no Gaussian generating function, no arcsine
+    cdf and no inverted density is pinned."""
     weak = PhysicalConstants(electron_charge=0.01)
     params = OscillatorParams.from_constants(1.0, weak)
     shells = resonance_shell_grid(params, weak, n_shells=8)
@@ -567,6 +626,32 @@ def test_simd_independent_law_bits_pinned(medium_grid):
     assert [FiniteLaw.of("modified", shells, a, h.real, h.imag).variance.hex()
             for a in np.eye(3)] == [
         "0x1.ff7ced914b17dp-2", "0x1.ff7ced914b17ep-2", "0x1.ff7ced914b17dp-2"]
-    assert digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "6b259a7b4d0d1fcd"
-    assert digest(Arcsine(1.0).pdf(np.linspace(-1.2, 1.2, 1001))) == (
-        "9c86b45bed5cc739")
+    assert law_digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "6b259a7b4d0d1fcd"
+    assert law_digest(Arcsine(1.0).pdf(np.linspace(-1.2, 1.2, 1001))) == "9c86b45bed5cc739"
+    assert boyer_law_digests() == ["abdf2cde6244f106", "0711c1e43bb328e6", "6d31f9dc337a465f",
+                                   "e239a2da437b22fc", "7f48b72efd13eff2"]
+
+
+def test_boyer_law_bits_without_simd_extensions():
+    """A child process with every CPU feature numpy dispatches to above its
+    baseline turned off (NPY_DISABLE_CPU_FEATURES) computes the same Boyer
+    law bytes as this process."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    if not found:
+        pytest.skip("numpy found no CPU feature above its baseline here, so none can be "
+                    "turned off")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "import test_dists\n"
+            f"print(*[__cpu_features__[name] for name in {found!r}])\n"
+            "print(*test_dists.boyer_law_digests())\n")
+    src = os.path.dirname(os.path.dirname(zpfsim.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    disabled, digests = done.stdout.splitlines()
+    assert disabled.split() == ["False"] * len(found)
+    assert digests.split() == boyer_law_digests()

@@ -151,6 +151,27 @@ class TestModeSum:
         assert sorted(finished) == [10, 10]  # the other two ranges ran to the end
         assert threading.active_count() == threads
 
+    def test_workers_keep_callers_errstate(self, monkeypatch):
+        # numpy's error state is a context variable, which a new thread does
+        # not inherit: each range must still raise where its caller does
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(kernels, "MIN_ROWS", 10)
+        sum_rows, states = kernels._sum_rows, []
+
+        def traced(out, *args):
+            states.append((threading.get_ident(), np.geterr()["over"]))
+            sum_rows(out, *args)
+
+        monkeypatch.setattr(kernels, "_sum_rows", traced)
+        coef = np.ones((4, 3))
+        with np.errstate(over="raise"):
+            kernels.mode_sum("boyer", coef, coef, range(4), 30, 1, 0)
+        idents = {ident for ident, _ in states}   # a pool thread may take two ranges
+        assert threading.get_ident() in idents and len(idents) > 1
+        assert [state for _, state in states] == ["raise"] * 3
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            kernels.mode_sum("boyer", coef * 1.5e308, coef * 1.5e308, range(4), 30, 1, 0)
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
     def test_one_cpu_sums_serially(self):
         code = (
