@@ -167,8 +167,7 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SE
             "coverage": (0.999, _check(lambda v: _number(v) and 0 < v < 1,
                                        "a number in (0, 1)", float))})),
         quadrature=({}, _object({
-            "omega_max": (lambda cfg: 50.0 * cfg["oscillator"]["nu0"], POSITIVE),
-            "base_panels": (24, _int(1)), "window_scale": (50.0, POSITIVE)}))),
+            "omega_max": (lambda cfg: 50.0 * cfg["oscillator"]["nu0"], POSITIVE)}))),
     "figure1": dict(level=(12, _int(0)), alpha=(5.0, POSITIVE),
                     amplitude=(1.0, _check(lambda v: _number(v) and dists.normal_square(v),
                                            "a number in about [1.5e-154, 1.3e154], so that "
@@ -277,13 +276,21 @@ def cmd_total_field(cfg):
 
 def cmd_oscillator(cfg):
     constants = PhysicalConstants(**cfg["constants"])
-    osc = cfg["oscillator"]
-    params = (OscillatorParams.from_constants(osc["nu0"], constants) if osc["from_constants"]
-              else OscillatorParams(osc["nu0"], osc["gamma"], osc["gamma_prime"], osc["mass"]))
+    osc, omega_max = cfg["oscillator"], cfg["quadrature"]["omega_max"]
+    try:
+        params = (OscillatorParams.from_constants(osc["nu0"], constants) if osc["from_constants"]
+                  else OscillatorParams(osc["nu0"], osc["gamma"], osc["gamma_prime"], osc["mass"]))
+    except (ValueError, ArithmeticError) as exc:   # only from_constants can fail here
+        raise ConfigError(
+            "fields 'constants.electron_charge', 'constants.eps0', 'constants.electron_mass' and "
+            f"'constants.c' give a damping Gamma or drive Gamma' outside (0, inf): {exc}") from exc
     if not params.resonance_ok:
         print(f"warning: Gamma*nu0 = {params.resonance_parameter:.3g} exceeds "
               f"{oscillator.RESONANCE_WARN:g}; the resonance approximation is degraded",
               file=sys.stderr)
+    if omega_max < oscillator.CUTOFF_WARN * params.nu0:
+        print(f"warning: omega_max = {omega_max:g} is below {oscillator.CUTOFF_WARN:g}*nu0; "
+              "the comparison with the resonance closed form is degraded", file=sys.stderr)
     shells = cfg["shells"]
     grid = oscillator.resonance_shell_grid(
         params, constants, n_shells=shells["n_shells"],
@@ -295,7 +302,7 @@ def cmd_oscillator(cfg):
         shells["directions"], "shells.directions")
     oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
     # the quadrature can fail (exit 2): run it before the costly sampling
-    quad_value, closed = oscillator.resonance_integral(params, **cfg["quadrature"])
+    quad_value, closed = oscillator.resonance_integral(params, omega_max)
     ens = oscillator.coordinate_ensemble(
         cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
     fits = [_fit(ens.values[:, i], gaussian=GaussianMode(np.sqrt(grid_var[i])))

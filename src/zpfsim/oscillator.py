@@ -24,7 +24,6 @@ quadrature axes reproduces the ground-state mean square radius hbar / (m nu0).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,12 @@ from .constants import PhysicalConstants
 from .fields import FieldRealization, SampleSet, _finite_phase, observe, sample_observable
 from .lattice import ModeGrid, polarization_basis, vector_lengths
 
-RESONANCE_WARN = 1e-2
+RESONANCE_WARN = 1e-2  # largest Gamma*nu0 of the resonance approximation
+CUTOFF_WARN = 10.0     # smallest omega_max / nu0 of the resonance comparison
 QUADRATURE_REL_TOL = 1e-3  # largest change of resonance_integral on doubling panels
+BASE_PANELS = 24       # resonance_integral's first panel count per edge run
+MAX_DOUBLINGS = 6      # its panel count doubles at most this often (24 -> 1536)
+WINDOW_SCALE = 50.0    # half-width of its linear panel window, in Gamma*nu0^3
 
 
 class ConvergenceError(RuntimeError):
@@ -50,8 +53,8 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("nu0", "gamma", "gamma_prime", "mass"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     @classmethod
     def from_constants(cls, nu0: float, constants: PhysicalConstants) -> "OscillatorParams":
@@ -123,46 +126,36 @@ def _gauss_panels(edges, f, nodes, weights):
     return total
 
 
-def _resonance_edges(p: OscillatorParams, omega_max: float, base_panels: int,
-                     window_scale: float):
+def _resonance_edges(p: OscillatorParams, omega_max: float, panels: int):
     nu0 = p.nu0
-    width = window_scale * p.gamma * nu0**3
+    width = WINDOW_SCALE * p.gamma * nu0**3
     lo = max(nu0 - width, 0.0)
     hi = min(nu0 + width, omega_max)
-    window = np.linspace(lo, hi, 2 * base_panels + 1) if hi > lo else np.array([])
+    window = np.linspace(lo, hi, 2 * panels + 1) if hi > lo else np.array([])
     # edges approach the window geometrically in distance from nu0
     left = np.array([0.0])
     if lo > 0.0:
-        dist = np.geomspace(nu0, width, base_panels + 1)
-        left = nu0 - dist
-        left[0] = 0.0
-        left[-1] = lo
+        left = nu0 - np.geomspace(nu0, width, panels + 1)
+        left[[0, -1]] = 0.0, lo
     right = np.array([omega_max])
     if hi < omega_max:
-        dist = np.geomspace(width, omega_max - nu0, base_panels + 1)
-        right = nu0 + dist
-        right[0] = hi
-        right[-1] = omega_max
-    edges = np.concatenate([left, window, right])
-    return np.unique(np.clip(edges, 0.0, omega_max))
+        right = nu0 + np.geomspace(width, omega_max - nu0, panels + 1)
+        right[[0, -1]] = hi, omega_max
+    return np.unique(np.clip(np.concatenate([left, window, right]), 0.0, omega_max))
 
 
-def resonance_integral(p: OscillatorParams, omega_max: float,
-                       base_panels: int = 24, window_scale: float = 50.0):
+def resonance_integral(p: OscillatorParams, omega_max: float):
     """Quadrature of integral_0^omega_max w^3 |h(w)|^2 dw next to its
     resonance-approximation closed form pi Gamma'^2 / (2 Gamma nu0).
 
     The integrand is a narrow near-Lorentzian peak at nu0; panels are
-    linear inside a window of half-width window_scale*Gamma*nu0^3 and
-    geometric outside. Doubling the panel count must change the result by
-    less than QUADRATURE_REL_TOL, otherwise a ConvergenceError is raised.
+    linear inside a window of half-width WINDOW_SCALE*Gamma*nu0^3 and
+    geometric outside. The panel count doubles from BASE_PANELS until two
+    successive sums agree to QUADRATURE_REL_TOL, and the finer is returned;
+    a non-finite sum or MAX_DOUBLINGS doublings raise a ConvergenceError.
     """
     if not omega_max > 0.0:
         raise ValueError("omega_max must be strictly positive")
-    if omega_max < 10.0 * p.nu0:
-        warnings.warn(
-            f"omega_max = {omega_max:g} is below 10*nu0; the comparison with the "
-            "resonance closed form will be degraded", stacklevel=2)
 
     def f(w):
         h = transfer(w, p)
@@ -172,17 +165,17 @@ def resonance_integral(p: OscillatorParams, omega_max: float,
     # a huge omega_max overflows the integrand to inf or nan, and a nan
     # fails every comparison, so only a passed test counts as converged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coarse = _gauss_panels(_resonance_edges(p, omega_max, base_panels, window_scale),
-                               f, nodes, weights)
-        fine = _gauss_panels(_resonance_edges(p, omega_max, 2 * base_panels, window_scale),
-                             f, nodes, weights)
-        change = abs(fine - coarse) / abs(fine)
-    if not abs(fine - coarse) <= QUADRATURE_REL_TOL * abs(fine):
+        fine = np.nan   # the first sum has none to agree with
+        for doubling in range(MAX_DOUBLINGS + 1):
+            coarse, fine = fine, _gauss_panels(
+                _resonance_edges(p, omega_max, BASE_PANELS * 2**doubling), f, nodes, weights)
+            if abs(fine - coarse) <= QUADRATURE_REL_TOL * abs(fine):
+                return float(fine), float(np.pi * p.gamma_prime**2 / (2.0 * p.gamma * p.nu0))
+            if not np.isfinite(fine):
+                raise ConvergenceError(f"resonance quadrature did not converge: a sum is {fine}")
         raise ConvergenceError(
-            f"resonance quadrature did not converge: doubling panels moved the "
-            f"value by {change:.2e} (> {QUADRATURE_REL_TOL:g})")
-    closed = np.pi * p.gamma_prime**2 / (2.0 * p.gamma * p.nu0)
-    return float(fine), float(closed)
+            f"resonance quadrature did not converge: {MAX_DOUBLINGS} panel doublings still "
+            f"moved the value by {abs(fine - coarse) / abs(fine):.2e} (> {QUADRATURE_REL_TOL:g})")
 
 
 # --------------------------------------------------------- resonance grid

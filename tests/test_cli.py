@@ -119,7 +119,11 @@ class TestValidation:
         ("sample-mode", '{"grid": {"box_side": "abc"}}', "'grid.box_side'"),
         ("total-field", '{"grid": null}', "'grid'"),
         ("total-field", '{"grid": {"kvectors": [[0, 0, 1]]}}', "'grid.volume'"),
-        ("oscillator", '{"quadrature": {"base_panels": 0}}', "'quadrature.base_panels'"),
+        # the quadrature sets its own panels: a manifest that names them is refused
+        ("oscillator", '{"quadrature": {"base_panels": 24}}',
+         "unknown config field 'quadrature.base_panels'"),
+        ("oscillator", '{"quadrature": {"window_scale": 50.0}}',
+         "unknown config field 'quadrature.window_scale'"),
         ("oscillator", '{"shells": {"directions": "sphere"}}', "'shells.directions'"),
         ("oscillator", '{"oscillator": {"nu0": 1.0, "from_constants": false}}',
          "'oscillator.from_constants'"),
@@ -156,11 +160,11 @@ class TestValidation:
         ("total-field", '{"r": [1e308, 0, 0]}', "'r' and 't'"),
         ("sample-mode", '{"t": 1e308}', "'r' and 't'"),
         ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
-         '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}, '
-         '"quadrature": {"base_panels": 48}}', "'t'"),
-        # w t is checked before the quadrature, which does not converge here
-        ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
          '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}}', "'t'"),
+        # w t is checked before the quadrature, which fails here (exit 2)
+        ("oscillator", '{"t": 1e308, "oscillator": {"nu0": 10.0}, '
+         '"constants": {"electron_charge": 0.001}, "shells": {"n_shells": 8}, '
+         '"quadrature": {"omega_max": 1e150}}', "'t'"),
         # a custom grid is not scaled: only the default factors pass
         ("generating", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0}, '
          '"density_factors": [2.0]}', "'density_factors'"),
@@ -169,6 +173,15 @@ class TestValidation:
         ("generating", '{"s_points": 9223372036854775808}', "'s_points'"),
         ("oscillator", '{"shells": {"n_shells": 9223372036854775808}, '
          '"constants": {"electron_charge": 0.01}}', "'shells.n_shells'"),
+        # constants whose damping Gamma or drive Gamma' is 0, inf or overflows
+        ("oscillator", '{"constants": {"eps0": 5e-324}}', "'constants.eps0'"),
+        ("oscillator", '{"constants": {"electron_mass": 1e308}}', "'constants.electron_mass'"),
+        ("oscillator", '{"constants": {"electron_charge": 1e-308}}',
+         "'constants.electron_charge'"),
+        ("oscillator", '{"constants": {"electron_charge": 1e308}}',
+         "'constants.electron_charge'"),
+        ("oscillator", '{"constants": {"c": 1e308}}', "'constants.c'"),
+        ("oscillator", '{"constants": {"c": 1e-154}}', "'constants.c'"),
         # counts past 2**53, which np.linspace rounds (2**63 - 1 to an empty array)
         ("figure1", '{"points": 9223372036854775807}', "'points'"),
         ("generating", '{"s_points": 9223372036854775807}', "'s_points'"),
@@ -177,8 +190,8 @@ class TestValidation:
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
             "box_side_null", "box_side_text", "grid_null", "volume_missing", "base_panels",
-            "directions", "from_constants", "density_empty", "density_negative", "command",
-            "seed_text", "component_zero_variance", "direction_zero_variance",
+            "window_scale", "directions", "from_constants", "density_empty", "density_negative",
+            "command", "seed_text", "component_zero_variance", "direction_zero_variance",
             "directions_zero_variance",
             "empty_lattice_sample_mode", "empty_lattice_total_field",
             "empty_lattice_generating", "density_empty_lattice", "component_overflow",
@@ -187,6 +200,8 @@ class TestValidation:
             "rng_layout_text", "huge_t_total_field", "huge_r_total_field",
             "huge_t_sample_mode", "huge_t_oscillator", "huge_t_oscillator_before_quadrature",
             "density_custom_grid", "points_2^63", "s_points_2^63", "n_shells_2^63",
+            "eps0_tiny", "electron_mass_huge", "electron_charge_tiny",
+            "electron_charge_huge", "c_huge", "c_tiny",
             "points_2^63-1", "s_points_2^63-1", "bins_2^63-1"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
@@ -243,9 +258,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("command, text", [
         ("oscillator", '{"constants": {"hbar": 1e-308, "electron_charge": 0.01}}'),
-        ("oscillator", '{"constants": {"c": 1e-154}}'),
-        ("oscillator", '{"constants": {"c": 1e308}}'),
-        ("oscillator", '{"constants": {"electron_charge": 1e308}}'),
         ("generating", '{"constants": {"c": 5e-324}}'),
         ("generating", '{"constants": {"hbar": 1e308}}'),
         ("generating", '{"grid": {"kvectors": [[1e-160, 0, 0]], "volume": 1.0}}'),
@@ -255,7 +267,7 @@ class TestValidation:
         ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}, '
          '"samples": 100}'),
         ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}}'),
-    ], ids=["osc_hbar_tiny", "osc_c_tiny", "osc_c_huge", "osc_charge_huge", "gen_c_denormal",
+    ], ids=["osc_hbar_tiny", "gen_c_denormal",
             "gen_hbar_huge", "gen_kvector_tiny", "gen_c_tiny", "gen_cutoff_huge",
             "osc_non_finite_report", "osc_hbar_huge_two_threads"])
     def test_numerical_error_exit_2(self, tmp_path, command, text):
@@ -310,7 +322,7 @@ class TestValidation:
           "quadrature"},
          {"rng_layout": 2, "oscillator": {"from_constants": True, "nu0": 1.0},
           "shells": {"n_shells": 8, "directions": "axes", "coverage": 0.999},
-          "quadrature": {"omega_max": 50.0, "base_panels": 24, "window_scale": 50.0}}),
+          "quadrature": {"omega_max": 50.0}}),
         (["figure1"], {"level", "alpha", "amplitude", "points"}, {}),
         (["generating"], {"constants", "grid", "direction", "s_points", "density_factors"},
          {"grid": {"box_side": 4.0 * np.pi, "omega_cutoff": 1.5}}),
@@ -479,6 +491,16 @@ class TestOscillator:
             assert text in err
         assert not (tmp_path / "o").exists()
 
+    def test_low_cutoff_warns(self, tmp_path, capsys):
+        # a plain warning line, as for Gamma*nu0, not a Python warning
+        cfg = self.config(tmp_path, samples=100, quadrature={"omega_max": 5.0})
+        rc = main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line] == [
+            "warning: omega_max = 5 is below 10*nu0; the comparison with the resonance "
+            "closed form is degraded"]
+
     def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
         # the integrand overflows to nan at this omega_max: exit 2, not a NaN
         # in report.json (the suite turns a numpy warning into a failure)
@@ -491,9 +513,11 @@ class TestOscillator:
     def test_convergence_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = self.config(
             tmp_path, samples=100,
-            oscillator={"nu0": 1.0, "gamma": 1e-9, "gamma_prime": 1.0, "mass": 1.0},
-            quadrature={"base_panels": 1, "window_scale": 1e-4},
-        )
+            oscillator={"nu0": 1.0, "gamma": 1e-9, "gamma_prime": 1.0, "mass": 1.0})
+        # too few panels, in a window far narrower than the line, to resolve it
+        monkeypatch.setattr(oscillator, "BASE_PANELS", 1)
+        monkeypatch.setattr(oscillator, "WINDOW_SCALE", 1e-4)
+        monkeypatch.setattr(oscillator, "MAX_DOUBLINGS", 1)
         # the quadrature fails before any sampling
         monkeypatch.setattr(oscillator, "coordinate_ensemble",
                             lambda *a, **k: pytest.fail("sampled before the quadrature"))

@@ -20,7 +20,7 @@ from zpfsim import (
     resonance_shell_grid,
     transfer,
 )
-from zpfsim import kernels
+from zpfsim import kernels, oscillator
 from zpfsim.constants import PhysicalConstants
 from zpfsim.oscillator import fibonacci_directions
 from zpfsim.stats import empirical_generating
@@ -282,28 +282,52 @@ class TestResonanceIntegral:
             devs.append(abs(quad - closed) / closed)
         assert devs[0] > devs[1] > devs[2]
 
-    def test_low_cutoff_warns(self):
-        p = OscillatorParams(nu0=1.0, gamma=1e-4, gamma_prime=1.0, mass=1.0)
-        with pytest.warns(UserWarning, match="10"):
-            resonance_integral(p, omega_max=5.0)
+    def test_pinned_value(self):
+        # the 48-panel sum, the first that agrees with the one before it
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        assert resonance_integral(p, 50.0)[0] == 29.6091543638641
 
-    def test_unresolved_peak_raises(self):
+    def test_unresolved_peak_raises(self, monkeypatch):
+        # one panel per edge run, a window far narrower than the line and a
+        # single doubling cannot resolve the peak
+        monkeypatch.setattr(oscillator, "BASE_PANELS", 1)
+        monkeypatch.setattr(oscillator, "WINDOW_SCALE", 1e-4)
+        monkeypatch.setattr(oscillator, "MAX_DOUBLINGS", 1)
         p = OscillatorParams(nu0=1.0, gamma=1e-9, gamma_prime=1.0, mass=1.0)
         with pytest.raises(ConvergenceError, match="converge"):
-            resonance_integral(p, omega_max=50.0, base_panels=1, window_scale=1e-4)
+            resonance_integral(p, omega_max=50.0)
 
-    def test_overflowing_cutoff_raises(self):
-        # the integrand overflows to inf and nan far above the line, and a nan
-        # change of the value must not pass the convergence test
+    def test_overflowing_cutoff_raises(self, monkeypatch):
+        # the integrand overflows to inf and nan far above the line: the
+        # first, non-finite sum ends the quadrature, and no nan passes
+        sums = []
+        panel_sum = oscillator._gauss_panels
+        monkeypatch.setattr(oscillator, "_gauss_panels",
+                            lambda *a: sums.append(panel_sum(*a)) or sums[-1])
         p = OscillatorParams.from_constants(1.0, WEAK)
         with pytest.raises(ConvergenceError, match="converge"):
             resonance_integral(p, omega_max=1e150)
+        assert len(sums) == 1 and not np.isfinite(sums[0])
+
+    @pytest.mark.parametrize("gamma_nu0, omega_max, rel", [
+        (3.0, 1e4, 1e-8),
+        # the returned 96-panel sum lies 3.5e-8 from the integral here
+        (30.0, 100.0, 1e-7),
+    ])
+    def test_broad_line_matches_scipy(self, gamma_nu0, omega_max, rel):
+        # lines this broad need more than 48 panels per edge run
+        from scipy import integrate
+        p = OscillatorParams(nu0=1.0, gamma=gamma_nu0, gamma_prime=1.0, mass=1.0)
+        quad, _ = resonance_integral(p, omega_max)
+        # breakpoints at the line and a decade above it
+        ref, _ = integrate.quad(lambda w: w**3 * abs(transfer(w, p)) ** 2, 0.0, omega_max,
+                                points=[1.0, 10.0], limit=500, epsabs=0.0, epsrel=1e-12)
+        assert quad == pytest.approx(ref, rel=rel)
 
     def test_cutoff_below_resonance_still_integrates(self):
         from scipy import integrate
         p = OscillatorParams(nu0=1.0, gamma=1e-3, gamma_prime=1.0, mass=1.0)
-        with pytest.warns(UserWarning):
-            quad, _ = resonance_integral(p, omega_max=0.5)
+        quad, _ = resonance_integral(p, omega_max=0.5)
         ref, _ = integrate.quad(
             lambda w: w**3 * abs(transfer(w, p)) ** 2, 0.0, 0.5, limit=200)
         assert quad == pytest.approx(ref, rel=1e-8)
