@@ -219,20 +219,28 @@ def _resolve(spec, given, prefix="", root=None) -> dict:
 
 
 def _mode_grid(spec, constants, scale=1.0, fields="field 'grid' gives") -> ModeGrid:
-    """spec's custom grid, or its lattice with the box side times scale."""
+    """spec's custom grid, or its lattice with the box side times scale;
+    every mode scale sigma_k of it finite and > 0."""
     if "kvectors" in spec:
-        return grid_from_kvectors(spec["kvectors"], spec["volume"], constants,
+        grid = grid_from_kvectors(spec["kvectors"], spec["volume"], constants,
                                   polarizations=spec["polarizations"])
-    try:
-        return build_grid(spec["box_side"] * scale, spec["omega_cutoff"], constants)
-    except EmptyGridError as exc:
-        raise ConfigError(f"{fields} an {exc}") from exc
+    else:
+        try:
+            grid = build_grid(spec["box_side"] * scale, spec["omega_cutoff"], constants)
+        except EmptyGridError as exc:
+            raise ConfigError(f"{fields} an {exc}") from exc
+    if not np.all((grid.sigma > 0.0) & (grid.sigma < np.inf)):
+        raise ConfigError("fields 'constants.hbar', 'constants.eps0' and 'constants.c' give a "
+                          "mode scale sqrt(hbar*omega / (2*eps0*V)) outside (0, inf)")
+    return grid
 
 
 def _fit(values, **laws):
-    """values' moments and a KS test at alpha = 0.01 against each named law."""
+    """values' moments and a KS test at alpha = 0.01 against each named law;
+    the KS tests share one sorted copy of the values."""
+    ordered = np.sort(values)
     return {"moments": stats.moments(values).to_dict(),
-            **{f"ks_{name}": stats.ks_test(values, law.cdf, alpha=0.01).to_dict()
+            **{f"ks_{name}": stats.ks_test(ordered, law.cdf, alpha=0.01).to_dict()
                for name, law in laws.items()}}
 
 

@@ -9,15 +9,20 @@ oscillator densities, the Bessel-product and Gaussian generating
     pdf(x) = (1/2 pi) * integral g(s) exp(i s x) ds
 
 that turns a generating function back into a density.
+
+The Gaussian cdf is zpfsim's own (_ndtr): Cody's rational approximations
+with a tail factor exp(-z^2) built from correctly rounded arithmetic, so
+its bits do not depend on numpy's SIMD level. scipy is imported only for
+the Bessel function j0 of the Boyer law, on first use.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, ndtr
 
 from .constants import PhysicalConstants
 from .fields import FieldKind, _as_kind, _mode_coefficients
@@ -143,6 +148,8 @@ class FiniteLaw:
         np.power the bits do not depend on numpy's SIMD level."""
         if self.kind is FieldKind.MODIFIED:
             return _gaussian_cf(s, self.variance)
+        from scipy.special import j0   # here: scipy.special is half of a CLI start-up
+
         amps, mult = np.unique(self.amplitudes, return_counts=True)
         s = np.asarray(s, dtype=float)
         abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
@@ -280,6 +287,114 @@ def invert_characteristic(gf, x_grid, s_max: float, n_s: int = 8193,
     return pdf / mass
 
 
+# ------------------------------------------------------ the normal cdf
+
+_CDF_BLOCK = 2**13   # elements per block of _ndtr, so its temporaries stay small
+
+# Cody's rational approximations (Math. Comp. 23, 1969) in the Cephes ndtr.c
+# form, highest power first; U, Q and S have a leading 1 that is not stored:
+# erf(x) = x T(x^2)/U(x^2) for |x| < 1, erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8)
+# and exp(-x^2) R(x)/S(x) on [8, inf)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_EXP_TAYLOR = tuple(1.0 / math.factorial(n) for n in range(13, -1, -1))
+# ln 2 = _LN2_HI + _LN2_LO; _LN2_HI has 32 trailing zero bits, so k * _LN2_HI is
+# exact for every k below 2^20
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_ERFC_ZERO = 28.0   # 0.5 erfc(z) underflows to 0 from about z = 27.2
+
+
+def _polevl(x, coef, monic=False):
+    """The polynomial with these coefficients (and a leading 1 if monic) at x,
+    by Horner's rule in one new array."""
+    out = x + coef[0] if monic else x * coef[0] + coef[1]
+    for c in coef[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _half_erfc(z):
+    """0.5 erfc(z) for 1 <= z <= _ERFC_ZERO, from +, -, *, /, rint and ldexp.
+
+    z^2 = hi + lo exactly (Dekker's split of z into 26-bit halves), and
+    exp(-hi - lo) = 2^-k exp(r) with k = rint(hi / ln 2), |r| <= ln 2 / 2 and
+    exp(r) by its Taylor polynomial of degree 13 (truncation below 1e-17);
+    2^-k scales the product once, at the end, by ldexp."""
+    t = z * 134217729.0   # 2^27 + 1
+    zh = t - (t - z)
+    zl = z - zh
+    hi = z * z
+    lo = zh * zh - hi
+    lo += 2.0 * zh * zl
+    lo += zl * zl
+    k = np.rint(hi * 1.44269504088896338700)   # 1/ln 2
+    r = k * _LN2_HI - hi   # exact: the two lie within a factor 2
+    r += k * _LN2_LO
+    r -= lo
+    ratio = _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q, monic=True)
+    far = z >= 8.0
+    if far.any():
+        ratio[far] = _polevl(z[far], _ERFC_R) / _polevl(z[far], _ERFC_S, monic=True)
+    y = _polevl(r, _EXP_TAYLOR)
+    y *= ratio
+    y *= 0.5
+    return np.ldexp(y, -k.astype(np.int32), out=y)
+
+
+def _half_erf_plus(x):
+    """0.5 + 0.5 erf(x) for |x| < 1."""
+    x2 = x * x
+    y = _polevl(x2, _ERF_T) * x
+    y /= _polevl(x2, _ERF_U, monic=True)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
+def _ndtr_block(x, sigma, out):
+    """out = Phi(x / sigma) for one block, as Cephes' ndtr forms it from
+    u = x / (sigma sqrt 2): 0.5 + 0.5 erf(u) for |u| < 1, else 0.5 erfc(|u|),
+    or 1 minus that for u > 0."""
+    u = x / sigma
+    u *= 0.70710678118654752440   # 1/sqrt(2)
+    z = np.fmin(np.abs(u), _ERFC_ZERO)   # nan and inf as 28: the arithmetic stays finite
+    inner = z < 1.0
+    if inner.all():
+        out[...] = _half_erf_plus(u)
+        return
+    outer = ~inner
+    out[inner] = _half_erf_plus(u[inner])
+    u = u[outer]
+    y = _half_erfc(z[outer])
+    np.subtract(1.0, y, out=y, where=u > 0.0)
+    y[np.isnan(u)] = np.nan
+    out[outer] = y
+
+
+def _ndtr(x, sigma: float):
+    """Normal cdf Phi(x / sigma), evaluated _CDF_BLOCK elements at a time.
+    Its error against the exact cdf is below 1.2e-16 absolute everywhere,
+    and it is 0 below about -38.5 sigma and 1 above about 8.3 sigma."""
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _CDF_BLOCK):
+        _ndtr_block(flat_x[lo:lo + _CDF_BLOCK], sigma, flat_out[lo:lo + _CDF_BLOCK])
+    return out
+
+
 # ------------------------------------------------- distribution catalogue
 
 @dataclass(frozen=True)
@@ -297,9 +412,11 @@ class GaussianMode:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
+        """Normal cdf with standard deviation sigma, by _ndtr: within 1.2e-16 of
+        the exact value, and the same bits at every numpy SIMD level."""
         if not self.sigma > 0.0:
             raise ValueError("sigma must be strictly positive")
-        out = ndtr(np.asarray(x, dtype=float) / self.sigma)
+        out = _ndtr(np.asarray(x, dtype=float), self.sigma)
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, s):

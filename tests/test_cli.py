@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zpfsim
-from zpfsim import kernels, oscillator, rng
+from zpfsim import cli, kernels, oscillator, rng
 from zpfsim.cli import main
 from zpfsim.constants import PhysicalConstants
 
@@ -32,6 +32,20 @@ def run_module(*argv):
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
+
+
+def test_fit_sorts_each_sample_set_once(monkeypatch):
+    """_fit's KS tests share one sorted copy; each gives ks_test's own result."""
+    values = np.random.default_rng(7).standard_normal(5000)
+    laws = {"gaussian": zpfsim.GaussianMode(1.0), "arcsine": zpfsim.Arcsine(np.sqrt(2.0))}
+    sort, calls = np.sort, []
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(1) or sort(a, *args, **kw))
+    fit = cli._fit(values, **laws)
+    assert len(calls) == 1
+    monkeypatch.setattr(np, "sort", sort)
+    for name, law in laws.items():
+        assert fit[f"ks_{name}"] == zpfsim.ks_test(values, law.cdf, alpha=0.01).to_dict()
+    assert fit["moments"] == zpfsim.moments(values).to_dict()
 
 
 class TestValidation:
@@ -182,6 +196,11 @@ class TestValidation:
          "'constants.electron_charge'"),
         ("oscillator", '{"constants": {"c": 1e308}}', "'constants.c'"),
         ("oscillator", '{"constants": {"c": 1e-154}}', "'constants.c'"),
+        # constants whose mode scales sigma_k underflow to 0
+        ("sample-mode", '{"constants": {"hbar": 5e-324}}', "'constants.hbar'"),
+        ("sample-mode", '{"constants": {"eps0": 1e308}}', "'constants.eps0'"),
+        ("total-field", '{"constants": {"hbar": 5e-324}}', "'constants.hbar'"),
+        ("generating", '{"constants": {"eps0": 1e308}}', "'constants.eps0'"),
         # counts past 2**53, which np.linspace rounds (2**63 - 1 to an empty array)
         ("figure1", '{"points": 9223372036854775807}', "'points'"),
         ("generating", '{"s_points": 9223372036854775807}', "'s_points'"),
@@ -202,7 +221,8 @@ class TestValidation:
             "density_custom_grid", "points_2^63", "s_points_2^63", "n_shells_2^63",
             "eps0_tiny", "electron_mass_huge", "electron_charge_tiny",
             "electron_charge_huge", "c_huge", "c_tiny",
-            "points_2^63-1", "s_points_2^63-1", "bins_2^63-1"])
+            "hbar_tiny_sample_mode", "eps0_huge_sample_mode", "hbar_tiny_total_field",
+            "eps0_huge_generating", "points_2^63-1", "s_points_2^63-1", "bins_2^63-1"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)

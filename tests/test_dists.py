@@ -589,6 +589,58 @@ class TestDistributionCatalogue:
             GaussianMode(0.0).cdf(0.0)
 
 
+class TestGaussianCdf:
+    """GaussianMode.cdf is zpfsim's own normal cdf (Cody's rational forms,
+    as in Cephes' ndtr, with a dispatch-free exp(-z^2)); scipy's ndtr is the
+    oracle."""
+
+    @staticmethod
+    def grid():
+        return np.linspace(-40.0, 10.0, 2 * 10**6 + 1)
+
+    def test_matches_scipy_ndtr(self):
+        x = np.concatenate([self.grid(), np.random.default_rng(32).standard_normal(10**5)])
+        ours, ref = GaussianMode(1.0).cdf(x), ndtr(x)
+        diff = np.abs(ours - ref)
+        assert diff.max() <= 2.3e-16
+        for lowest, bound in ((-8.0, 5e-15), (-37.0, 1e-13)):
+            inside = x >= lowest
+            assert np.max(diff[inside] / ref[inside]) <= bound
+
+    def test_symmetry_and_limits(self):
+        cdf = GaussianMode(1.0).cdf
+        assert cdf(0.0) == 0.5
+        x = np.linspace(-40.0, 40.0, 400001)
+        assert np.max(np.abs(cdf(x) + cdf(-x) - 1.0)) <= np.spacing(1.0)
+        grid = self.grid()
+        values = cdf(grid)
+        assert np.all(np.diff(values) >= 0.0)
+        assert np.all(values[grid < -38.5] == 0.0)
+        assert values[grid >= -38.4].min() > 0.0
+        assert np.all(cdf(np.linspace(8.3, 40.0, 1001)) == 1.0)
+        assert cdf(8.2) < 1.0
+        assert np.array_equal(cdf(np.array([-np.inf, np.inf, 1e300, -1e300])),
+                              [0.0, 1.0, 1.0, 0.0])
+        assert np.isnan(cdf(np.nan))
+
+    def test_scale_shapes_and_blocks(self):
+        law = GaussianMode(0.7)
+        x = 0.7 * np.linspace(-12.0, 12.0, 3 * 2**13 + 5)   # blocks mixing every branch
+        values = law.cdf(x)
+        assert np.max(np.abs(values - ndtr(x / 0.7))) <= 2.3e-16
+        order = np.random.default_rng(3).permutation(x.size)
+        assert np.array_equal(law.cdf(x[order]), values[order])
+        assert np.array_equal(law.cdf(x[:-5].reshape(3, -1)), values[:-5].reshape(3, -1))
+        assert [law.cdf(v) for v in x[::997]] == values[::997].tolist()
+        assert type(law.cdf(0.3)) is float
+        assert law.cdf(np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+    def test_refuses_non_positive_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be strictly positive"):
+            GaussianMode(sigma).cdf(np.zeros(3))
+
+
 def law_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
@@ -610,13 +662,20 @@ def boyer_law_digests():
     return digests
 
 
+def gaussian_cdf_digest():
+    """Digest of GaussianMode(0.7).cdf from -40 to 10 standard deviations:
+    the erf form, both erfc forms and the underflowing tail."""
+    return law_digest(GaussianMode(0.7).cdf(0.7 * np.linspace(-40.0, 10.0, 300001)))
+
+
 def test_simd_independent_law_bits_pinned(medium_grid):
-    """Law values built from +, -, *, /, sqrt, scipy's j0 and ndtr and
+    """Law values built from +, -, *, /, sqrt, rint, ldexp, scipy's j0 and
     sequential products alone: turning off AVX-512, and AVX2 as well,
     through NPY_DISABLE_CPU_FEATURES left these bits unchanged (the Boyer
-    law's also in test_boyer_law_bits_without_simd_extensions). np.exp and
-    np.arcsin moved there, so no Gaussian generating function, no arcsine
-    cdf and no inverted density is pinned."""
+    law's and the Gaussian cdf's also in
+    test_boyer_law_bits_without_simd_extensions). np.exp and np.arcsin
+    moved there, so no Gaussian generating function, no arcsine cdf and no
+    inverted density is pinned."""
     weak = PhysicalConstants(electron_charge=0.01)
     params = OscillatorParams.from_constants(1.0, weak)
     shells = resonance_shell_grid(params, weak, n_shells=8)
@@ -626,7 +685,8 @@ def test_simd_independent_law_bits_pinned(medium_grid):
     assert [FiniteLaw.of("modified", shells, a, h.real, h.imag).variance.hex()
             for a in np.eye(3)] == [
         "0x1.ff7ced914b17dp-2", "0x1.ff7ced914b17ep-2", "0x1.ff7ced914b17dp-2"]
-    assert law_digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "6b259a7b4d0d1fcd"
+    assert law_digest(GaussianMode(0.7).cdf(np.linspace(-4.0, 4.0, 1001))) == "e9b2af525584ee1d"
+    assert gaussian_cdf_digest() == "bdb4f56aedd10145"
     assert law_digest(Arcsine(1.0).pdf(np.linspace(-1.2, 1.2, 1001))) == "9c86b45bed5cc739"
     assert boyer_law_digests() == ["abdf2cde6244f106", "0711c1e43bb328e6", "6d31f9dc337a465f",
                                    "e239a2da437b22fc", "7f48b72efd13eff2"]
@@ -635,7 +695,7 @@ def test_simd_independent_law_bits_pinned(medium_grid):
 def test_boyer_law_bits_without_simd_extensions():
     """A child process with every CPU feature numpy dispatches to above its
     baseline turned off (NPY_DISABLE_CPU_FEATURES) computes the same Boyer
-    law bytes as this process."""
+    law and Gaussian cdf bytes as this process."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     if not found:
@@ -646,12 +706,14 @@ def test_boyer_law_bits_without_simd_extensions():
             "from numpy._core._multiarray_umath import __cpu_features__\n"
             "import test_dists\n"
             f"print(*[__cpu_features__[name] for name in {found!r}])\n"
-            "print(*test_dists.boyer_law_digests())\n")
+            "print(*test_dists.boyer_law_digests())\n"
+            "print(test_dists.gaussian_cdf_digest())\n")
     src = os.path.dirname(os.path.dirname(zpfsim.__file__))
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
            "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    disabled, digests = done.stdout.splitlines()
+    disabled, digests, cdf_digest = done.stdout.splitlines()
     assert disabled.split() == ["False"] * len(found)
     assert digests.split() == boyer_law_digests()
+    assert cdf_digest == gaussian_cdf_digest()

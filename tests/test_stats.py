@@ -105,6 +105,16 @@ class TestKS:
         assert not res.passed
         assert res.statistic == pytest.approx(sup, abs=0.02)
 
+    def test_any_order_gives_the_same_result(self, monkeypatch):
+        """Ascending samples are not sorted again; the result is the same for
+        any order of the same values."""
+        x = normal_samples(1000, 24)
+        expected = ks_test(x, GaussianMode(1.0).cdf)
+        assert ks_test(x[::-1], GaussianMode(1.0).cdf) == expected
+        ordered = np.sort(x)
+        monkeypatch.setattr(np, "sort", None)
+        assert ks_test(ordered, GaussianMode(1.0).cdf) == expected
+
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_test(np.arange(5, dtype=float), GaussianMode(1.0).cdf)
