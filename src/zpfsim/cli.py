@@ -13,13 +13,15 @@ seed (required) and out; SPECS holds every field's default and check:
     generating    Bessel-product vs Gaussian generating-function sweep
                   constants grid direction s_points density_factors
 
-Every run requires an explicit seed (no wall-clock default): an unknown
-config key, top-level or nested, or a bad value exits 1 naming the field.
-Only a run that succeeds writes: its resolved config as manifest.json
-(re-ingestable via --config), report.json and CSV with 17 significant
-digits. Exit codes: 0 success, 1 usage or validation error or a run too
-large for memory, 2 numerical error (an arithmetic failure, a quadrature or
-inversion that fails, or a nan or inf in the report).
+Every run requires an explicit seed (no wall-clock default). An unknown
+config key, top-level or nested, or a bad value exits 1 naming the field;
+a failed setup step (a grid, the oscillator's parameters or shell grid)
+exits 1 naming every field it read (_reading). Only a run that succeeds
+writes: its resolved config as manifest.json (re-ingestable via --config),
+report.json and CSV with 17 significant digits. Exit codes: 0 success, 1
+usage or validation error or a run too large for memory, 2 numerical error
+(an arithmetic failure, a quadrature or inversion that fails, or a nan or
+inf in the report), which may name no field.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import difflib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +47,8 @@ from .dists import (
     quantum_oscillator_pdf,
     total_field_sigma,
 )
-from .lattice import (EmptyGridError, ModeGrid, build_grid, grid_from_kvectors, unit_vector,
-                      vector_lengths)
+from .lattice import ModeGrid, build_grid, grid_from_kvectors, unit_vector, vector_lengths
 from .oscillator import ConvergenceError, OscillatorParams
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ------------------------------------------------------------ field specs
@@ -64,7 +62,7 @@ def _check(ok, what, convert=None):
     """A parser of the values ok accepts; its errors name the field."""
     def parse(value, name, root=None):
         if not ok(value):
-            raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+            raise ValueError(f"field {name!r} must be {what}, got {value!r}")
         return value if convert is None else convert(value)
     return parse
 
@@ -131,6 +129,7 @@ POINT = _check(_point, "three finite real numbers", lambda v: list(map(float, v)
 DIRECTION = _check(lambda v: _point(v, nonzero=True),
                    "three finite real numbers whose squared length is a finite nonzero double",
                    lambda v: list(map(float, v)))
+SIGMA_K = ("constants.hbar", "constants.eps0", "constants.c")   # read by omega and sigma_k
 SAMPLING = dict(
     kind=("modified", _choice("boyer", "modified")),
     samples=(10000, _int(10)),   # every sampling subcommand runs a KS test
@@ -195,9 +194,9 @@ def resolve(args) -> dict:
         try:
             given = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(given, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
     given.update((k, v) for k, v in vars(args).items() if k in FLAGS and v is not None)
     return _resolve(SPECS[args.command], given)
 
@@ -208,30 +207,41 @@ def _resolve(spec, given, prefix="", root=None) -> dict:
     for key in given:
         if key not in spec:
             hint = difflib.get_close_matches(key, spec, n=1)
-            raise ConfigError(f"unknown config field {prefix + key!r}"
+            raise ValueError(f"unknown config field {prefix + key!r}"
                               + (f" (did you mean {prefix + hint[0]!r}?)" if hint else ""))
     for key, (default, parse) in spec.items():
         if key not in given and default is REQUIRED:
-            raise ConfigError(f"missing required field {prefix + key!r}")
+            raise ValueError(f"missing required field {prefix + key!r}")
         value = given[key] if key in given else default(root) if callable(default) else default
         out[key] = parse(value, prefix + key, root)
     return out
 
 
-def _mode_grid(spec, constants, scale=1.0, fields="field 'grid' gives") -> ModeGrid:
-    """spec's custom grid, or its lattice with the box side times scale;
-    every mode scale sigma_k of it finite and > 0."""
-    if "kvectors" in spec:
-        grid = grid_from_kvectors(spec["kvectors"], spec["volume"], constants,
-                                  polarizations=spec["polarizations"])
-    else:
-        try:
+@contextmanager
+def _reading(*fields):
+    """A setup step that reads these dotted config fields: a ValueError or
+    MemoryError raised in it exits 1 naming every one of them."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        error = MemoryError if isinstance(exc, MemoryError) else ValueError
+        raise error(f"fields {', '.join(map(repr, dict.fromkeys(fields)))} give: {exc}") from exc
+
+
+def _mode_grid(cfg, factor=None) -> ModeGrid:
+    """The setup step of cfg's custom grid, or of its lattice with the volume
+    times density_factors[factor]; every mode scale sigma_k finite and > 0."""
+    spec, constants = cfg["grid"], PhysicalConstants(**cfg["constants"])
+    density = [] if factor is None else [f"density_factors[{factor}]"]
+    with _reading(*(f"grid.{key}" for key in spec), *SIGMA_K, *density):
+        if "kvectors" in spec:
+            grid = grid_from_kvectors(spec["kvectors"], spec["volume"], constants,
+                                      polarizations=spec["polarizations"])
+        else:   # mode density scales with volume: factor f multiplies L^3
+            scale = 1.0 if factor is None else cfg["density_factors"][factor] ** (1.0 / 3.0)
             grid = build_grid(spec["box_side"] * scale, spec["omega_cutoff"], constants)
-        except EmptyGridError as exc:
-            raise ConfigError(f"{fields} an {exc}") from exc
-    if not np.all((grid.sigma > 0.0) & (grid.sigma < np.inf)):
-        raise ConfigError("fields 'constants.hbar', 'constants.eps0' and 'constants.c' give a "
-                          "mode scale sqrt(hbar*omega / (2*eps0*V)) outside (0, inf)")
+        if not np.all((grid.sigma > 0.0) & (grid.sigma < np.inf)):
+            raise ValueError("a mode scale sqrt(hbar*omega / (2*eps0*V)) outside (0, inf)")
     return grid
 
 
@@ -252,7 +262,7 @@ def _csv(title, names, columns, meta):
 # ---------------------------------------------------------------- commands
 
 def cmd_sample_mode(cfg):
-    grid = _mode_grid(cfg["grid"], PhysicalConstants(**cfg["constants"]))
+    grid = _mode_grid(cfg)
     mode_index = cfg["mode_index"]
     _check(lambda i: i < len(grid), f"< {len(grid)}, the mode count")(mode_index, "mode_index")
     batch = fields.sample_mode_batch(
@@ -265,7 +275,7 @@ def cmd_sample_mode(cfg):
 
 
 def cmd_total_field(cfg):
-    grid = _mode_grid(cfg["grid"], PhysicalConstants(**cfg["constants"]))
+    grid = _mode_grid(cfg)
     component = unit_vector(cfg["component"])
     sigma_comp = float(np.sqrt(FiniteLaw.of("modified", grid, component).variance))
     _check(lambda c: sigma_comp > 0, "a direction in which the grid's field varies")(
@@ -284,14 +294,13 @@ def cmd_total_field(cfg):
 
 def cmd_oscillator(cfg):
     constants = PhysicalConstants(**cfg["constants"])
-    osc, omega_max = cfg["oscillator"], cfg["quadrature"]["omega_max"]
-    try:
+    osc, shells, omega_max = cfg["oscillator"], cfg["shells"], cfg["quadrature"]["omega_max"]
+    read = [f"oscillator.{key}" for key in osc if key != "from_constants"]
+    if osc["from_constants"]:
+        read += [f"constants.{key}" for key in ("electron_charge", "eps0", "electron_mass", "c")]
+    with _reading(*read):
         params = (OscillatorParams.from_constants(osc["nu0"], constants) if osc["from_constants"]
                   else OscillatorParams(osc["nu0"], osc["gamma"], osc["gamma_prime"], osc["mass"]))
-    except (ValueError, ArithmeticError) as exc:   # only from_constants can fail here
-        raise ConfigError(
-            "fields 'constants.electron_charge', 'constants.eps0', 'constants.electron_mass' and "
-            f"'constants.c' give a damping Gamma or drive Gamma' outside (0, inf): {exc}") from exc
     if not params.resonance_ok:
         print(f"warning: Gamma*nu0 = {params.resonance_parameter:.3g} exceeds "
               f"{oscillator.RESONANCE_WARN:g}; the resonance approximation is degraded",
@@ -299,15 +308,15 @@ def cmd_oscillator(cfg):
     if omega_max < oscillator.CUTOFF_WARN * params.nu0:
         print(f"warning: omega_max = {omega_max:g} is below {oscillator.CUTOFF_WARN:g}*nu0; "
               "the comparison with the resonance closed form is degraded", file=sys.stderr)
-    shells = cfg["shells"]
-    grid = oscillator.resonance_shell_grid(
-        params, constants, n_shells=shells["n_shells"],
-        directions=None if shells["directions"] == "axes" else shells["directions"],
-        coverage=shells["coverage"])
-    h = oscillator.transfer(grid.omega, params)
-    grid_var = [FiniteLaw.of("modified", grid, a, h.real, h.imag).variance for a in np.eye(3)]
-    _check(lambda d: min(grid_var) > 0, "directions whose modes drive every axis")(
-        shells["directions"], "shells.directions")
+    with _reading(*read, *SIGMA_K, *(f"shells.{key}" for key in shells)):
+        grid = oscillator.resonance_shell_grid(
+            params, constants, n_shells=shells["n_shells"],
+            directions=None if shells["directions"] == "axes" else shells["directions"],
+            coverage=shells["coverage"])
+        h = oscillator.transfer(grid.omega, params)
+        grid_var = [FiniteLaw.of("modified", grid, a, h.real, h.imag).variance for a in np.eye(3)]
+        if not min(grid_var) > 0:
+            raise ValueError("an axis that no mode drives, a coordinate variance of 0")
     oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
     # the quadrature can fail (exit 2): run it before the costly sampling
     quad_value, closed = oscillator.resonance_integral(params, omega_max)
@@ -360,24 +369,18 @@ def cmd_figure1(cfg):
 def cmd_generating(cfg):
     constants = PhysicalConstants(**cfg["constants"])
     direction = np.asarray(cfg["direction"])
-    spec = cfg["grid"]
-    if "kvectors" in spec:
+    if "kvectors" in cfg["grid"]:
         default = SPECS["generating"]["density_factors"][0]   # lattice grids only
         _check(lambda f: f == default, f"{default} with a custom grid")(cfg["density_factors"],
                                                                         "density_factors")
-        grids, labels = [_mode_grid(spec, constants)], ["custom"]
-        cutoff = grids[0].omega_cutoff
+        grids, labels = [_mode_grid(cfg)], ["custom"]
     else:
-        cutoff = spec["omega_cutoff"]
-        # mode density scales with volume: factor f multiplies L^3
-        grids = [_mode_grid(spec, constants, f ** (1.0 / 3.0),
-                            f"fields 'grid' and 'density_factors[{i}]' give")
-                 for i, f in enumerate(cfg["density_factors"])]
+        grids = [_mode_grid(cfg, i) for i in range(len(cfg["density_factors"]))]
         labels = [f"density_{i}" for i in range(len(grids))]
     variances = [FiniteLaw.of("modified", grid, direction).variance for grid in grids]
     _check(lambda d: min(variances) > 0, "a direction in which the grid's field varies")(
         cfg["direction"], "direction")
-    sigma_e = total_field_sigma(cutoff, constants)
+    sigma_e = total_field_sigma(grids[0].omega_cutoff, constants)
     s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
     rows, files = [], {}
     for label, grid, variance in zip(labels, grids, variances):
@@ -461,9 +464,6 @@ def main(argv=None) -> int:
         # FloatingPointError (exit 2) instead of printing numpy's warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return run(resolve(args), args.as_json)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ArithmeticError, ConvergenceError, InsufficientRangeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,10 @@ class OscillatorParams:
     def from_constants(cls, nu0: float, constants: PhysicalConstants) -> "OscillatorParams":
         e = constants.electron_charge
         m = constants.electron_mass
-        gamma = e**2 / (6.0 * np.pi * constants.eps0 * m * constants.c**3)
+        try:
+            gamma = e**2 / (6.0 * np.pi * constants.eps0 * m * constants.c**3)
+        except ArithmeticError:   # e**2 or c**3 overflows, or c**3 underflows to 0
+            gamma = np.nan        # refused below as any gamma outside (0, inf) is
         return cls(nu0=nu0, gamma=gamma, gamma_prime=e / m, mass=m)
 
     @property
@@ -236,11 +239,8 @@ def resonance_shell_grid(p: OscillatorParams, constants: PhysicalConstants,
     df = (1.0 - 2.0 * f_lo) / n_shells
     omega_s = p.nu0 + half_width * np.tan(np.pi * (f_mid - 0.5))
     if np.any(omega_s <= 0.0):
-        raise ValueError(
-            f"shell quantiles reach non-positive frequencies at Gamma*nu0 = "
-            f"{p.resonance_parameter:.3g}: lower the coverage ('shells.coverage') or "
-            f"narrow the line with a smaller charge ('constants.electron_charge'; "
-            f"0.01 with the other constants at 1 gives Gamma*nu0 = 5.3e-6)")
+        raise ValueError(f"shell quantiles reach non-positive frequencies at Gamma*nu0 = "
+                         f"{p.resonance_parameter:.3g}: lower the coverage or Gamma*nu0")
     # importance weight: cell mass over the local Lorentzian density
     lorentz = (half_width / np.pi) / ((omega_s - p.nu0) ** 2 + half_width**2)
     cell_width = df / lorentz

@@ -154,9 +154,10 @@ class TestValidation:
         ("oscillator", '{"constants": {"electron_charge": 0.01}, '
          '"shells": {"n_shells": 8, "directions": [[0, 0, 1]]}}', "'shells.directions'"),
         # a lattice with no mode below the cutoff
-        ("sample-mode", EMPTY_LATTICE, "'grid'"),
-        ("total-field", EMPTY_LATTICE, "'grid'"),
-        ("generating", EMPTY_LATTICE, "error: fields 'grid' and 'density_factors[0]' give an "
+        ("sample-mode", EMPTY_LATTICE, "'grid.omega_cutoff'"),
+        ("total-field", EMPTY_LATTICE, "'grid.omega_cutoff'"),
+        ("generating", EMPTY_LATTICE, "error: fields 'grid.box_side', 'grid.omega_cutoff', "
+         "'constants.hbar', 'constants.eps0', 'constants.c', 'density_factors[0]' give: "
          "empty grid: smallest nonzero mode frequency 6.28319 exceeds cutoff 0.01"),
         ("generating", '{"density_factors": [1.0, 1e-9]}', "'density_factors[1]'"),
         # finite, nonzero vectors whose squared length overflows or underflows
@@ -205,6 +206,20 @@ class TestValidation:
         ("figure1", '{"points": 9223372036854775807}', "'points'"),
         ("generating", '{"s_points": 9223372036854775807}', "'s_points'"),
         ("total-field", '{"bins": 9223372036854775807}', "'bins'"),
+        # lattices too large to build, or with no mode, named by the field that moved
+        ("total-field", '{"grid": {"box_side": 1e6}}', "'grid.box_side'"),
+        ("sample-mode", '{"grid": {"omega_cutoff": 1e7}}', "'grid.omega_cutoff'"),
+        ("total-field", '{"constants": {"c": 1e-154}}', "'constants.c'"),
+        ("total-field", '{"constants": {"c": 1e300}}', "'constants.c'"),
+        ("generating", '{"density_factors": [1e308]}', "'density_factors[0]'"),
+        # a line too broad for the shell grid, named by the field that broadened it
+        ("oscillator", '{"oscillator": {"nu0": 1, "gamma": 0.2, "gamma_prime": 1, "mass": 1}}',
+         "'oscillator.gamma'"),
+        ("oscillator", '{"constants": {"eps0": 0.1}}', "'constants.eps0'"),
+        ("oscillator", '{"oscillator": {"nu0": 10}}', "'oscillator.nu0'"),
+        # shells so narrow that every mode scale underflows to 0
+        ("oscillator", '{"shells": {"coverage": 1e-300}, "constants": {"electron_charge": 0.01}}',
+         "'shells.coverage'"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -222,7 +237,10 @@ class TestValidation:
             "eps0_tiny", "electron_mass_huge", "electron_charge_tiny",
             "electron_charge_huge", "c_huge", "c_tiny",
             "hbar_tiny_sample_mode", "eps0_huge_sample_mode", "hbar_tiny_total_field",
-            "eps0_huge_generating", "points_2^63-1", "s_points_2^63-1", "bins_2^63-1"])
+            "eps0_huge_generating", "points_2^63-1", "s_points_2^63-1", "bins_2^63-1",
+            "box_side_huge", "omega_cutoff_huge", "c_tiny_total_field", "c_huge_total_field",
+            "density_huge", "gamma_broad_line", "eps0_broad_line", "nu0_broad_line",
+            "coverage_tiny"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -511,6 +529,15 @@ class TestOscillator:
             assert text in err
         assert not (tmp_path / "o").exists()
 
+    def test_explicit_gamma_names_only_its_fields(self, tmp_path, capsys):
+        # Gamma*nu0 = 0.2: too broad for the shell grid, and no constant set it
+        cfg = self.config(tmp_path, oscillator={"nu0": 1, "gamma": 0.2, "gamma_prime": 1,
+                                                "mass": 1})
+        assert main(["oscillator", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'oscillator.gamma'" in err and "'shells.coverage'" in err
+        assert "electron_charge" not in err and "electron_mass" not in err
+
     def test_low_cutoff_warns(self, tmp_path, capsys):
         # a plain warning line, as for Gamma*nu0, not a Python warning
         cfg = self.config(tmp_path, samples=100, quadrature={"omega_max": 5.0})
@@ -664,6 +691,64 @@ class TestGenerating:
             expected = abs(j0(np.sqrt(2) * sigma * data["s"])
                            - np.exp(-(sigma * data["s"]) ** 2 / 2))
             assert data["deviation"] == pytest.approx(expected, abs=1e-12)
+
+
+SWEEP_BASES = {
+    "sample-mode": {"samples": 10},
+    "total-field": {"samples": 10},
+    "oscillator": {"samples": 10, "constants": {"electron_charge": 0.01},
+                   "shells": {"n_shells": 8}},
+    "figure1": {},
+    "generating": {"s_points": 11},
+}
+# 3-vector fields, which the parser names whole
+VECTORS = {key for spec in cli.SPECS.values() for key, (_, parse) in spec.items()
+           if parse in (cli.POINT, cli.DIRECTION)}
+
+
+def real_leaves(tree, path=()):
+    """The path of every real-valued leaf of a resolved config; a list of
+    reals has the path of its first entry."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from real_leaves(value, path + (key,))
+        elif isinstance(value, list) and isinstance(value[0], float):
+            yield path + (key, 0)
+        elif isinstance(value, float):
+            yield path + (key,)
+
+
+def test_extreme_values_keep_the_exit_contract(tmp_path, capsys):
+    """Each real-valued field of each subcommand, set alone to 1e-300 or
+    1e300 in a config that otherwise exits 0: the run exits 0, 1 or 2 with
+    no source line on stderr, an exit 1 names the field, and a failed run
+    leaves no output directory."""
+    runs = 0
+    for command, base in SWEEP_BASES.items():
+        resolved = cli._resolve(cli.SPECS[command], {"seed": 1, **base})
+        del resolved["out"]
+        for path in real_leaves(resolved):
+            keys = [key for key in path if isinstance(key, str)]
+            names = [".".join(keys) + ("[0]" if path[-1] == 0 else "")]
+            if keys[0] in VECTORS:
+                names.append(keys[0])
+            for value in (1e-300, 1e300):
+                cfg = json.loads(json.dumps(resolved))
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                runs += 1
+                config, out = tmp_path / f"c{runs}.json", tmp_path / f"o{runs}"
+                config.write_text(json.dumps(cfg))
+                rc = main([command, "--config", str(config), "--out", str(out)])
+                err = capsys.readouterr().err
+                case = f"{command} {names[0]}={value}: exit {rc}: {err}"
+                assert rc in (0, 1, 2), case
+                assert "Traceback" not in err and ".py:" not in err, case
+                assert rc != 1 or any(f"'{name}'" in err for name in names), case
+                assert rc == 0 or not out.exists(), case
+    assert runs == 2 * 39
 
 
 @pytest.mark.parametrize("argv", [
