@@ -11,11 +11,7 @@ ground state.
 from .constants import PhysicalConstants
 from .fields import (
     FieldKind,
-    FieldRealization,
     SampleSet,
-    draw_realization,
-    eval_field,
-    mode_amplitude,
     sample_field_batch,
     sample_mode_batch,
 )
@@ -45,7 +41,6 @@ from .oscillator import (
     OscillatorParams,
     bohr_radius_sq,
     coordinate_ensemble,
-    coordinate_sample,
     predicted_variance,
     resonance_integral,
     resonance_shell_grid,
@@ -54,7 +49,6 @@ from .oscillator import (
 from .stats import (
     KSResult,
     MomentReport,
-    empirical_generating,
     histogram,
     ks_critical,
     ks_test,

@@ -16,12 +16,14 @@ seed (required) and out; SPECS holds every field's default and check:
 Every run requires an explicit seed (no wall-clock default). An unknown
 config key, top-level or nested, or a bad value exits 1 naming the field;
 a failed setup step (a grid, the oscillator's parameters or shell grid)
-exits 1 naming every field it read (_reading). Only a run that succeeds
-writes: its resolved config as manifest.json (re-ingestable via --config),
-report.json and CSV with 17 significant digits. Exit codes: 0 success, 1
-usage or validation error or a run too large for memory, 2 numerical error
-(an arithmetic failure, a quadrature or inversion that fails, or a nan or
-inf in the report), which may name no field.
+exits 1 naming every field it read (_reading), an allocation too large for
+memory names the count that sized it, and a failed computed default the
+fields it came from. Only a run that succeeds writes: its resolved config
+as manifest.json (re-ingestable via --config), report.json and CSV with
+17 significant digits. Exit codes: 0 success, 1 usage or validation
+error or a run too large for memory, 2 numerical error (an arithmetic
+failure, a quadrature or inversion that fails, or a nan or inf in the
+report), which may name no field.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import argparse
 import difflib
 import json
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +46,6 @@ from .dists import (
     FiniteLaw,
     GaussianMode,
     InsufficientRangeError,
-    boyer_generating,
     hermite_function,
     quantum_oscillator_pdf,
     total_field_sigma,
@@ -52,10 +55,12 @@ from .oscillator import ConvergenceError, OscillatorParams
 
 
 # ------------------------------------------------------------ field specs
-# A spec maps each field to (default, parser); a callable default is
-# computed from the root config resolved so far. A parser takes (value,
-# dotted field name, root) and returns the value to use.
+# A spec maps each field to (default, parser). A Derived default is
+# rule(*values) of its dotted fields of the root config, resolved before it;
+# a value the parser refuses names those fields, not the unset one. A parser
+# takes (value, dotted field name, root) and returns the value to use.
 REQUIRED = object()
+Derived = namedtuple("Derived", "rule fields")
 
 
 def _check(ok, what, convert=None):
@@ -166,7 +171,7 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SE
             "coverage": (0.999, _check(lambda v: _number(v) and 0 < v < 1,
                                        "a number in (0, 1)", float))})),
         quadrature=({}, _object({
-            "omega_max": (lambda cfg: 50.0 * cfg["oscillator"]["nu0"], POSITIVE)}))),
+            "omega_max": (Derived(lambda nu0: 50.0 * nu0, ("oscillator.nu0",)), POSITIVE)}))),
     "figure1": dict(level=(12, _int(0)), alpha=(5.0, POSITIVE),
                     amplitude=(1.0, _check(lambda v: _number(v) and dists.normal_square(v),
                                            "a number in about [1.5e-154, 1.3e154], so that "
@@ -212,18 +217,23 @@ def _resolve(spec, given, prefix="", root=None) -> dict:
     for key, (default, parse) in spec.items():
         if key not in given and default is REQUIRED:
             raise ValueError(f"missing required field {prefix + key!r}")
-        value = given[key] if key in given else default(root) if callable(default) else default
-        out[key] = parse(value, prefix + key, root)
+        if key not in given and isinstance(default, Derived):
+            with _reading(*default.fields):
+                values = [reduce(dict.__getitem__, f.split("."), root) for f in default.fields]
+                out[key] = parse(default.rule(*values), prefix + key, root)
+        else:
+            out[key] = parse(given.get(key, default), prefix + key, root)
     return out
 
 
 @contextmanager
-def _reading(*fields):
-    """A setup step that reads these dotted config fields: a ValueError or
-    MemoryError raised in it exits 1 naming every one of them."""
+def _reading(*fields, errors=(ValueError, MemoryError)):
+    """A step that reads these dotted config fields: one of these errors raised
+    in it exits 1 naming every one of them. A step sized by a count blames it
+    for a MemoryError alone, so a ValueError keeps the fields it names."""
     try:
         yield
-    except (ValueError, MemoryError) as exc:
+    except errors as exc:
         error = MemoryError if isinstance(exc, MemoryError) else ValueError
         raise error(f"fields {', '.join(map(repr, dict.fromkeys(fields)))} give: {exc}") from exc
 
@@ -265,8 +275,9 @@ def cmd_sample_mode(cfg):
     grid = _mode_grid(cfg)
     mode_index = cfg["mode_index"]
     _check(lambda i: i < len(grid), f"< {len(grid)}, the mode count")(mode_index, "mode_index")
-    batch = fields.sample_mode_batch(
-        cfg["kind"], grid, mode_index, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
+    with _reading("samples", errors=MemoryError):
+        batch = fields.sample_mode_batch(
+            cfg["kind"], grid, mode_index, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
     sigma = float(grid.sigma[mode_index])
     summary = {"kind": cfg["kind"], "mode_index": mode_index, "sigma": sigma,
                **_fit(batch.values, gaussian=GaussianMode(sigma),
@@ -280,11 +291,13 @@ def cmd_total_field(cfg):
     sigma_comp = float(np.sqrt(FiniteLaw.of("modified", grid, component).variance))
     _check(lambda c: sigma_comp > 0, "a direction in which the grid's field varies")(
         cfg["component"], "component")
-    batch = fields.sample_field_batch(
-        cfg["kind"], grid, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
+    with _reading("samples", errors=MemoryError):
+        batch = fields.sample_field_batch(
+            cfg["kind"], grid, cfg["r"], cfg["t"], cfg["samples"], cfg["seed"])
     values = np.ascontiguousarray(batch.values) @ component   # same bits as a C-order @
     span = 5.0 * sigma_comp
-    edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
+    with _reading("bins", errors=MemoryError):
+        edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
     summary = {"kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
                **_fit(values, gaussian=GaussianMode(sigma_comp))}
     return summary, {"histogram.csv": _csv(
@@ -320,8 +333,9 @@ def cmd_oscillator(cfg):
     oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
     # the quadrature can fail (exit 2): run it before the costly sampling
     quad_value, closed = oscillator.resonance_integral(params, omega_max)
-    ens = oscillator.coordinate_ensemble(
-        cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
+    with _reading("samples", errors=MemoryError):
+        ens = oscillator.coordinate_ensemble(
+            cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
     fits = [_fit(ens.values[:, i], gaussian=GaussianMode(np.sqrt(grid_var[i])))
             for i in range(3)]
     summary = {
@@ -343,8 +357,9 @@ def cmd_figure1(cfg):
     level, alpha, amplitude = cfg["level"], cfg["alpha"], cfg["amplitude"]
     _check(lambda n: n <= dists.HERMITE_MAX_LEVEL,
            f"<= {dists.HERMITE_MAX_LEVEL}, the Hermite recurrence's cap")(level, "level")
-    x_cl = np.linspace(-1.2 * amplitude, 1.2 * amplitude, cfg["points"])
-    x_g = np.linspace(-4.0, 4.0, cfg["points"])
+    with _reading("points", errors=MemoryError):
+        x_cl = np.linspace(-1.2 * amplitude, 1.2 * amplitude, cfg["points"])
+        x_g = np.linspace(-4.0, 4.0, cfg["points"])
     wave = hermite_function(level, alpha * x_cl)
     zeros = int(np.sum(np.sign(wave[1:]) * np.sign(wave[:-1]) < 0))
     classical = Arcsine(amplitude).pdf
@@ -381,10 +396,11 @@ def cmd_generating(cfg):
     _check(lambda d: min(variances) > 0, "a direction in which the grid's field varies")(
         cfg["direction"], "direction")
     sigma_e = total_field_sigma(grids[0].omega_cutoff, constants)
-    s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
+    with _reading("s_points", errors=MemoryError):
+        s = np.linspace(0.0, 5.0 / sigma_e, cfg["s_points"])
     rows, files = [], {}
     for label, grid, variance in zip(labels, grids, variances):
-        gb = boyer_generating(s, direction, grid)
+        gb = FiniteLaw.of("boyer", grid, direction)(s)
         g_lat = GaussianMode(np.sqrt(variance))(s)
         g_cont = GaussianMode(sigma_e)(s)
         dev = np.abs(gb - g_lat)

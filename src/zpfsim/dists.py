@@ -82,29 +82,6 @@ def total_field_sigma(omega_cutoff: float, constants: PhysicalConstants) -> floa
     ))
 
 
-def binned_energy_density(grid: ModeGrid, bin_edges):
-    """Lattice energy density per omega bin: sum of hbar*w/2 over modes in
-    each bin, divided by V and the bin width."""
-    if grid.volume is None:
-        raise ValueError("binned energy density needs a grid with a volume")
-    edges = np.asarray(bin_edges, dtype=float)
-    hbar = grid.constants.hbar
-    idx = np.digitize(grid.omega, edges)
-    widths = np.diff(edges)
-    out = np.zeros(len(edges) - 1)
-    for b in range(1, len(edges)):
-        sel = idx == b
-        out[b - 1] = 0.5 * hbar * np.sum(grid.omega[sel]) / (grid.volume * widths[b - 1])
-    return out
-
-
-def energy_density_bin_average(bin_edges, constants: PhysicalConstants):
-    """Exact bin averages of the spectral energy density hbar*w^3/(2 pi^2 c^3)."""
-    edges = np.asarray(bin_edges, dtype=float)
-    w1, w2 = edges[:-1], edges[1:]
-    return constants.hbar * (w2**4 - w1**4) / (8.0 * np.pi**2 * constants.c**3) / (w2 - w1)
-
-
 # ---------------------------------------------------- generating functions
 
 def _gaussian_cf(s, var: float):
@@ -183,12 +160,15 @@ def _int_power(p: np.ndarray, m: int) -> np.ndarray:
 
 def boyer_generating(s, s_direction, grid: ModeGrid):
     """Bessel-product generating function prod_k J0(A_k s) of the
-    random-phase field component, A_k = sqrt(2) sigma_k |shat . eps_k|."""
+    random-phase field component, A_k = sqrt(2) sigma_k |shat . eps_k|.
+    No program path calls it: it remains for perfbench, which traces it."""
     return FiniteLaw.of("boyer", grid, s_direction)(s)
 
 
 @dataclass(frozen=True)
 class BesselProductGF:
+    """boyer_generating as a callable of s; it remains for perfbench alone."""
+
     grid: ModeGrid
     s_direction: tuple = (0.0, 0.0, 1.0)
 
@@ -403,10 +383,12 @@ class GaussianMode:
 
     sigma: float
 
-    def pdf(self, x):
-        """Normal density with standard deviation sigma (single-mode law)."""
+    def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError("sigma must be strictly positive")
+
+    def pdf(self, x):
+        """Normal density with standard deviation sigma (single-mode law)."""
         x = np.asarray(x, dtype=float)
         out = np.exp(-(x**2) / (2.0 * self.sigma**2)) / np.sqrt(2.0 * np.pi * self.sigma**2)
         return float(out) if out.ndim == 0 else out
@@ -414,8 +396,6 @@ class GaussianMode:
     def cdf(self, x):
         """Normal cdf with standard deviation sigma, by _ndtr: within 1.2e-16 of
         the exact value, and the same bits at every numpy SIMD level."""
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be strictly positive")
         out = _ndtr(np.asarray(x, dtype=float), self.sigma)
         return float(out) if out.ndim == 0 else out
 
@@ -424,7 +404,7 @@ class GaussianMode:
         return _gaussian_cf(s, self.sigma**2)
 
 
-GaussianGF = GaussianMode  # the name generating-function callers use
+GaussianGF = GaussianMode  # the name perfbench's gf-inversion uses; it remains for it
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ Two classical field ansatzes are implemented:
 The field and the field-driven oscillator are the same linear observable
 sum_k sigma_k Re{w_k conj(rho_k)} eps_k (w_k = sqrt(2) exp(i theta_k) for
 Boyer); only the per-mode response rho_k differs. Every observable goes
-through three functions here, given rho_k as (re, im): _mode_coefficients
-(its per-mode rows), sample_observable (the fast batch sampler) and observe
-(the slow-path reference). dists.FiniteLaw turns the same rows into the
-observable's exact law.
+through two functions here, given rho_k as (re, im): _mode_coefficients
+(its per-mode rows) and sample_observable (the batch sampler).
+dists.FiniteLaw turns the same rows into the observable's exact law;
+tests/reference.py holds the slow reference the sampler is checked against.
 
-A realization is immutable and fully determined by (kind, grid, seed);
-per-mode counter-based streams (rng.py) let batch samplers draw a single
-mode's variables without generating the rest.
+Realization j is fully determined by (kind, grid, seed, j); per-mode
+counter-based streams (rng.py) let batch samplers draw a single mode's
+variables without generating the rest.
 """
 
 from __future__ import annotations
@@ -48,54 +48,6 @@ class FieldKind(str, Enum):
 
 def _as_kind(kind) -> FieldKind:
     return FieldKind(kind.lower() if isinstance(kind, str) else kind)
-
-
-@dataclass(frozen=True)
-class FieldRealization:
-    """One draw of all per-mode stochastic variables of a field."""
-
-    kind: FieldKind
-    grid_fingerprint: str
-    seed: int
-    theta: np.ndarray | None = None   # Boyer phases in [0, 2*pi)
-    w: np.ndarray | None = None       # Modified complex amplitudes u + i v
-
-    def __post_init__(self):
-        if self.kind is FieldKind.BOYER:
-            if self.theta is None or self.w is not None:
-                raise ValueError("Boyer realization carries phases only")
-            if np.any(self.theta < 0.0) or np.any(self.theta >= 2.0 * np.pi):
-                raise ValueError("Boyer phases must lie in [0, 2*pi)")
-        else:
-            if self.w is None or self.theta is not None:
-                raise ValueError("Modified realization carries complex amplitudes only")
-        arr = self.theta if self.theta is not None else self.w
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "theta" if self.kind is FieldKind.BOYER else "w", arr)
-
-    def __len__(self) -> int:
-        arr = self.theta if self.theta is not None else self.w
-        return arr.shape[0]
-
-
-def draw_realization(kind, grid: ModeGrid, seed: int) -> FieldRealization:
-    """Draw all per-mode variables; deterministic in (kind, grid, seed).
-
-    Mode i consumes the leading block of its own stream, so the result is
-    consistent with ensemble row 0 and with single-mode batch samplers.
-    """
-    kind = _as_kind(kind)
-    seed = rng.check_seed(seed)
-    width = rng.BLOCK_PHASE if kind is FieldKind.BOYER else rng.BLOCK_NORMAL_PAIR
-    uni = np.empty((len(grid), width))
-    gen = rng.generator()
-    for key, row in zip(rng.mode_keys(seed, np.arange(len(grid))), uni):
-        rng.position(gen, key, 0).random(out=row)
-    if kind is FieldKind.BOYER:
-        return FieldRealization(kind, grid.fingerprint, seed, theta=2.0 * np.pi * uni[:, 0])
-    u, v = rng.boxmuller(uni[:, 0], uni[:, 1])
-    return FieldRealization(kind, grid.fingerprint, seed, w=u + 1j * v)
 
 
 def _finite_phase(phase, what: str = "k.r - w t of fields 'r' and 't'"):
@@ -122,29 +74,6 @@ def _mode_phase(grid: ModeGrid, mode_index: int, r, t: float) -> float:
         raise IndexError(f"mode index {mode_index} out of range for {len(grid)} modes")
     return float(_finite_phase(lambda: grid.k[mode_index] @ np.asarray(r, dtype=float)
                                - grid.omega[mode_index] * t))
-
-
-def observe(real: FieldRealization, grid: ModeGrid, re, im) -> np.ndarray:
-    """The slow-path reference: per-mode terms sigma_k Re{w_k conj(re_k +
-    i im_k)} of one realization, w_k = sqrt(2) exp(i theta_k) for Boyer.
-    It shares no code with the fast path (sample_observable) it checks."""
-    if real.grid_fingerprint != grid.fingerprint or len(real) != len(grid):
-        raise ValueError("realization does not match grid")
-    w = SQRT2 * np.exp(1j * real.theta) if real.kind is FieldKind.BOYER else real.w
-    return grid.sigma * (w * (re - 1j * im)).real
-
-
-def eval_field(real: FieldRealization, grid: ModeGrid, r, t: float) -> np.ndarray:
-    """Exact finite-sum field vector E(r, t) of one realization."""
-    phi = _phases(grid, r, t)
-    return observe(real, grid, np.cos(phi), -np.sin(phi)) @ grid.eps
-
-
-def mode_amplitude(real: FieldRealization, grid: ModeGrid, mode_index: int,
-                   r, t: float) -> float:
-    """Scalar coefficient E_k of eps_k in the mode expansion at (r, t)."""
-    phi = _mode_phase(grid, mode_index, r, t)
-    return float(observe(real, grid, np.cos(phi), -np.sin(phi))[mode_index])
 
 
 @dataclass(frozen=True)
@@ -207,8 +136,9 @@ def sample_mode_batch(kind, grid: ModeGrid, mode_index: int, r, t: float,
     """n i.i.d. samples of the single-mode amplitude E_k at (r, t).
 
     Statistically identical to drawing full realizations and reading one
-    mode; sample j reproduces the slow path for realization j, so workers
-    may split the index range via ``start`` without changing the output.
+    mode; sample j is realization j's, so workers may split the index range
+    via ``start`` without changing the output, and sample 0 reproduces the
+    slow-path reference mode_amplitude of tests/reference.py.
     """
     phi = _mode_phase(grid, mode_index, r, t)
     return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start,
@@ -219,10 +149,11 @@ def sample_field_batch(kind, grid: ModeGrid, r, t: float, n: int, seed: int,
                        start: int = 0) -> SampleSet:
     """n i.i.d. realizations of the full field vector E(r, t).
 
-    Row j equals eval_field(draw_realization(kind, grid, seed), ...) for
-    realization index start + j. The mode sum runs in blocks of modes x
-    realizations (kernels.MODE_BLOCK mode-samples each), so memory stays
-    O(n) regardless of grid size.
+    Realization 0 equals the slow-path reference
+    eval_field(draw_realization(kind, grid, seed), grid, r, t) of
+    tests/reference.py. The mode sum runs in blocks of modes x realizations
+    (kernels.MODE_BLOCK mode-samples each), so memory stays O(n)
+    regardless of grid size.
     """
     phi = _phases(grid, r, t)
     return sample_observable(kind, grid, np.cos(phi), -np.sin(phi), n, seed, start,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .fields import FieldRealization, SampleSet, _finite_phase, observe, sample_observable
+from .fields import SampleSet, _finite_phase, sample_observable
 from .lattice import ModeGrid, polarization_basis, vector_lengths
 
 RESONANCE_WARN = 1e-2  # largest Gamma*nu0 of the resonance approximation
@@ -89,19 +89,11 @@ def _response(grid: ModeGrid, p: OscillatorParams, t: float) -> np.ndarray:
     return np.exp(1j * wt) * transfer(grid.omega, p)
 
 
-def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParams,
-                      t: float) -> np.ndarray:
-    """Oscillator coordinate vector for one field realization: the slow-path
-    reference sum_k sigma_k Re{w_k conj(h~(w_k))} eps_k, with w_k =
-    sqrt(2) exp(i theta_k) for Boyer realizations."""
-    ht = _response(grid, p, t)
-    return observe(real, grid, ht.real, ht.imag) @ grid.eps
-
-
 def coordinate_ensemble(kind, grid: ModeGrid, p: OscillatorParams, t: float,
                         n: int, seed: int, start: int = 0) -> SampleSet:
-    """n independent coordinate vectors; row j reproduces the slow path
-    coordinate_sample(draw_realization(...)) for realization index start+j."""
+    """n independent coordinate vectors, realizations start..start+n-1;
+    realization 0 reproduces the slow-path reference
+    coordinate_sample(draw_realization(...)) of tests/reference.py."""
     ht = _response(grid, p, t)
     return sample_observable(kind, grid, ht.real, ht.imag, n, seed, start, {
         "t": float(t), "params": {"nu0": p.nu0, "gamma": p.gamma,

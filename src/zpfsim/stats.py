@@ -146,17 +146,3 @@ def write_csv(path, title: str, names, rows, meta: dict) -> Path:
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     return path
 
-
-def empirical_generating(samples, s_values):
-    """Empirical characteristic function mean(exp(-i s X)) on a set of s
-    values. Returns (complex means, standard errors of the real part)."""
-    x = _finite_samples(samples, 2, "an empirical generating function")
-    s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    n = x.size
-    g = np.empty(s.size, dtype=complex)
-    se = np.empty(s.size)
-    for idx, sv in enumerate(s):
-        c = np.cos(sv * x)
-        g[idx] = np.mean(c) - 1j * np.mean(np.sin(sv * x))
-        se[idx] = np.std(c, ddof=1) / np.sqrt(n)
-    return g, se

