@@ -103,11 +103,14 @@ def _choice(*options):
                   f"one of {json.dumps(options)}")
 
 
-def _list(item):
-    """A non-empty list whose entries item parses as name[i]."""
+def _list(item, distinct=False):
+    """A non-empty list whose entries item parses as name[i], with distinct
+    no entry twice."""
     def parse(value, name, root=None):
         _check(lambda v: isinstance(v, list) and v, "a non-empty list")(value, name)
-        return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        out = [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        return _check(lambda v: not distinct or len(set(v)) == len(v),
+                      "a list that holds no entry twice")(out, name)
     return parse
 
 
@@ -124,7 +127,7 @@ def _grid(box_side, omega_cutoff):
     return {}, _object(
         {"box_side": (box_side, POSITIVE), "omega_cutoff": (omega_cutoff, POSITIVE)},
         "kvectors", {"kvectors": (REQUIRED, _list(DIRECTION)), "volume": (REQUIRED, POSITIVE),
-                     "polarizations": ([1, 2], _list(_choice(1, 2)))})
+                     "polarizations": ([1, 2], _list(_choice(1, 2), distinct=True))})
 
 
 SEED = _check(lambda v: _number(v, int) and v >= 0, "an integer >= 0")   # any size: no count cap
@@ -288,7 +291,8 @@ def cmd_sample_mode(cfg):
 def cmd_total_field(cfg):
     grid = _mode_grid(cfg)
     component = unit_vector(cfg["component"])
-    sigma_comp = float(np.sqrt(FiniteLaw.of("modified", grid, component).variance))
+    law = FiniteLaw.of("modified", grid, component)
+    sigma_comp = float(np.sqrt(law.variance))
     _check(lambda c: sigma_comp > 0, "a direction in which the grid's field varies")(
         cfg["component"], "component")
     with _reading("samples", errors=MemoryError):
@@ -299,7 +303,7 @@ def cmd_total_field(cfg):
     with _reading("bins", errors=MemoryError):
         edges, dens = stats.histogram(values, cfg["bins"], (-span, span))
     summary = {"kind": cfg["kind"], "n_modes": len(grid), "sigma_component": sigma_comp,
-               **_fit(values, gaussian=GaussianMode(sigma_comp))}
+               **_fit(values, gaussian=law)}
     return summary, {"histogram.csv": _csv(
         "histogram", ("bin_left", "bin_right", "density"), [edges[:-1], edges[1:], dens],
         {"kind": cfg["kind"], "component": component.tolist()})}
@@ -327,7 +331,8 @@ def cmd_oscillator(cfg):
             directions=None if shells["directions"] == "axes" else shells["directions"],
             coverage=shells["coverage"])
         h = oscillator.transfer(grid.omega, params)
-        grid_var = [FiniteLaw.of("modified", grid, a, h.real, h.imag).variance for a in np.eye(3)]
+        laws = [FiniteLaw.of("modified", grid, a, h.real, h.imag) for a in np.eye(3)]
+        grid_var = [law.variance for law in laws]
         if not min(grid_var) > 0:
             raise ValueError("an axis that no mode drives, a coordinate variance of 0")
     oscillator._response(grid, params, cfg["t"])   # a bad 't' exits 1 before the quadrature
@@ -336,8 +341,7 @@ def cmd_oscillator(cfg):
     with _reading("samples", errors=MemoryError):
         ens = oscillator.coordinate_ensemble(
             cfg["kind"], grid, params, cfg["t"], cfg["samples"], cfg["seed"])
-    fits = [_fit(ens.values[:, i], gaussian=GaussianMode(np.sqrt(grid_var[i])))
-            for i in range(3)]
+    fits = [_fit(ens.values[:, i], gaussian=law) for i, law in enumerate(laws)]
     summary = {
         "kind": cfg["kind"], "n_modes": len(grid),
         "params": ens.meta["params"],

@@ -1,10 +1,12 @@
 """Analytic target distributions, generating functions, and their inversion.
 
-These are the oracles every Monte Carlo result is tested against: the
-Gaussian single-mode and total-field laws of the quantized ground state,
-the arcsine law of a fixed-amplitude random-phase mode, the Hermite-
-oscillator densities, the Bessel-product and Gaussian generating
-(characteristic) functions, and the numerical inverse transform
+These are the oracles every Monte Carlo result is tested against. The one
+law class, FiniteLaw, is the exact law of a field component or oscillator
+coordinate on a finite mode set: its generating (characteristic) function
+as a call, and a closed-form pdf and cdf for a modified law (normal) and one
+Boyer row (arcsine), the one-row laws GaussianMode and Arcsine build. Beside
+it: the total-field scale, the Hermite-oscillator densities and the
+numerical inverse transform
 
     pdf(x) = (1/2 pi) * integral g(s) exp(i s x) ds
 
@@ -82,16 +84,9 @@ def total_field_sigma(omega_cutoff: float, constants: PhysicalConstants) -> floa
     ))
 
 
-# ---------------------------------------------------- generating functions
+# ---------------------------------------------------------- the exact laws
 
-def _gaussian_cf(s, var: float):
-    """exp(-s^2 var / 2): a float for scalar s, else an array."""
-    s = np.asarray(s, dtype=float)
-    out = np.exp(-(s**2) * var / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteLaw:
     """Exact law of one component of a linear observable on a finite mode set:
     sum_k A_k cos(theta_k) for Boyer rows, whose A_k carry the sqrt(2), and
@@ -114,6 +109,47 @@ class FiniteLaw:
         var = float(np.sum(self.amplitudes**2))
         return var / 2.0 if self.kind is FieldKind.BOYER else var
 
+    def _closed_form(self) -> float:
+        """The parameter p of a law with a closed-form pdf and cdf: the variance
+        > 0 of a modified law (normal), or A of one Boyer row (arcsine)."""
+        if self.kind is FieldKind.MODIFIED:
+            if not self.variance > 0.0:
+                raise ValueError(f"a modified law of variance {self.variance!r} has no pdf or cdf")
+            return self.variance
+        if self.amplitudes.size != 1:
+            raise ValueError(f"no closed-form pdf or cdf for {self.amplitudes.size} Boyer rows")
+        return float(self.amplitudes[0])
+
+    def pdf(self, x):
+        """The normal density of variance for modified rows. For one Boyer row
+        the density 1/(pi*sqrt(A^2 - x^2)) of A*cos(theta), which is inf at
+        x = +-A: statistical tests should use the cdf."""
+        x, p = np.asarray(x, dtype=float), self._closed_form()
+        if self.kind is FieldKind.MODIFIED:
+            out = np.exp(-(x**2) / (2.0 * p)) / np.sqrt(2.0 * np.pi * p)
+        elif not normal_square(p):
+            raise ValueError(f"amplitude must lie in about [1.5e-154, 1.3e154], so that "
+                             f"its square is a finite normal double, got {p!r}")
+        else:
+            out = np.zeros_like(x)
+            inside = np.abs(x) <= p
+            with np.errstate(divide="ignore"):
+                out[inside] = 1.0 / (np.pi * np.sqrt(p**2 - x[inside] ** 2))
+        return float(out) if out.ndim == 0 else out
+
+    def cdf(self, x):
+        """The normal cdf of variance for modified rows, by _ndtr (see there).
+        For one Boyer row the arcsine cdf (1/pi) arcsin(x/A) + 1/2, clamped to
+        [0, 1] outside the support."""
+        x, p = np.asarray(x, dtype=float), self._closed_form()
+        if self.kind is FieldKind.MODIFIED:
+            out = _ndtr(x, math.sqrt(p))
+        elif not p > 0.0:
+            raise ValueError("amplitude must be strictly positive")
+        else:
+            out = np.arcsin(np.clip(x / p, -1.0, 1.0)) / np.pi + 0.5
+        return float(out) if out.ndim == 0 else out
+
     def __call__(self, s):
         """exp(-s^2 variance / 2) for modified rows. For Boyer rows prod_k J0(A_k s),
         evaluated once per distinct |s| (J0 is even) and once per distinct A_k.
@@ -123,12 +159,13 @@ class FiniteLaw:
         groups are multiplied in ascending m. Only j0 and correctly rounded
         products are used (np.prod folds each row in order), so unlike
         np.power the bits do not depend on numpy's SIMD level."""
+        s = np.asarray(s, dtype=float)
         if self.kind is FieldKind.MODIFIED:
-            return _gaussian_cf(s, self.variance)
+            out = np.exp(-(s**2) * self.variance / 2.0)
+            return float(out) if out.ndim == 0 else out
         from scipy.special import j0   # here: scipy.special is half of a CLI start-up
 
         amps, mult = np.unique(self.amplitudes, return_counts=True)
-        s = np.asarray(s, dtype=float)
         abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
         block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
         buf = np.empty(abs_s.size * min(block, amps.size))
@@ -144,6 +181,22 @@ class FiniteLaw:
             out *= _int_power(p, int(m))
         out = out[inverse].reshape(s.shape)
         return float(out) if out.ndim == 0 else out
+
+
+def GaussianMode(sigma: float) -> FiniteLaw:
+    """The centered normal law of standard deviation sigma > 0, one modified row."""
+    if not sigma > 0.0:
+        raise ValueError("sigma must be strictly positive")
+    return FiniteLaw(FieldKind.MODIFIED, np.array([sigma], dtype=float))
+
+
+GaussianGF = GaussianMode  # the name perfbench's gf-inversion uses; it remains for it
+
+
+def Arcsine(amplitude: float) -> FiniteLaw:
+    """The law of A*cos(theta) with theta uniform, support [-A, A]: a one-row
+    Boyer law, whose generating function is J0(A s)."""
+    return FiniteLaw(FieldKind.BOYER, np.array([amplitude], dtype=float))
 
 
 def _int_power(p: np.ndarray, m: int) -> np.ndarray:
@@ -165,15 +218,9 @@ def boyer_generating(s, s_direction, grid: ModeGrid):
     return FiniteLaw.of("boyer", grid, s_direction)(s)
 
 
-@dataclass(frozen=True)
-class BesselProductGF:
+def BesselProductGF(grid: ModeGrid, s_direction=(0.0, 0.0, 1.0)):
     """boyer_generating as a callable of s; it remains for perfbench alone."""
-
-    grid: ModeGrid
-    s_direction: tuple = (0.0, 0.0, 1.0)
-
-    def __call__(self, s):
-        return boyer_generating(s, self.s_direction, self.grid)
+    return lambda s: boyer_generating(s, s_direction, grid)
 
 
 def _fft_length(n: int) -> int:
@@ -373,69 +420,3 @@ def _ndtr(x, sigma: float):
     for lo in range(0, flat_x.size, _CDF_BLOCK):
         _ndtr_block(flat_x[lo:lo + _CDF_BLOCK], sigma, flat_out[lo:lo + _CDF_BLOCK])
     return out
-
-
-# ------------------------------------------------- distribution catalogue
-
-@dataclass(frozen=True)
-class GaussianMode:
-    """Centered normal law: pdf, cdf, and its generating function as a call."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be strictly positive")
-
-    def pdf(self, x):
-        """Normal density with standard deviation sigma (single-mode law)."""
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-(x**2) / (2.0 * self.sigma**2)) / np.sqrt(2.0 * np.pi * self.sigma**2)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        """Normal cdf with standard deviation sigma, by _ndtr: within 1.2e-16 of
-        the exact value, and the same bits at every numpy SIMD level."""
-        out = _ndtr(np.asarray(x, dtype=float), self.sigma)
-        return float(out) if out.ndim == 0 else out
-
-    def __call__(self, s):
-        """Characteristic function exp(-s^2 sigma^2 / 2)."""
-        return _gaussian_cf(s, self.sigma**2)
-
-
-GaussianGF = GaussianMode  # the name perfbench's gf-inversion uses; it remains for it
-
-
-@dataclass(frozen=True)
-class Arcsine:
-    """Law of A*cos(theta) with theta uniform; support [-A, A]."""
-
-    amplitude: float
-
-    def pdf(self, x):
-        """Position density 1/(pi*sqrt(A^2 - x^2)) of a fixed-amplitude sinusoid.
-
-        The density is unbounded at the endpoints; x = +-A evaluates to inf and
-        statistical tests should use the cdf.
-        """
-        a = self.amplitude
-        if not normal_square(a):
-            raise ValueError(f"amplitude must lie in about [1.5e-154, 1.3e154], so that its "
-                             f"square is a finite normal double, got {a!r}")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = np.abs(x) <= a
-        with np.errstate(divide="ignore"):
-            out[inside] = 1.0 / (np.pi * np.sqrt(a**2 - x[inside] ** 2))
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        """Antiderivative of the classical-oscillator density:
-        (1/pi) arcsin(x/A) + 1/2, clamped to [0, 1] outside the support."""
-        if not self.amplitude > 0.0:
-            raise ValueError("amplitude must be strictly positive")
-        z = np.clip(np.asarray(x, dtype=float) / self.amplitude, -1.0, 1.0)
-        out = np.arcsin(z) / np.pi + 0.5
-        return float(out) if out.ndim == 0 else out
-

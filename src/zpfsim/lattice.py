@@ -196,13 +196,16 @@ def grid_from_kvectors(k_vectors, volume: float,
 
     Intended for controlled experiments (single-mode grids, deliberately
     sparse grids). The polarization-pair structure of lattice grids is
-    relaxed: any subset of (1, 2) may be requested per call.
+    relaxed: any subset of (1, 2), in either order, may be requested per
+    call, but no polarization twice.
     """
     kv = np.atleast_2d(np.asarray(k_vectors, dtype=float))
     norm = vector_lengths(kv, "k_vectors", rows=True)
     polarizations = tuple(polarizations)
-    if not polarizations or any(p not in (1, 2) for p in polarizations):
-        raise ValueError("polarizations must be a nonempty subset of (1, 2)")
+    if (not polarizations or any(p not in (1, 2) for p in polarizations)
+            or len(set(polarizations)) < len(polarizations)):
+        raise ValueError("polarizations must be a nonempty subset of (1, 2), each entry "
+                         f"at most once, got {list(polarizations)}")
     omega = constants.c * norm
     return ModeGrid.from_wavevectors(
         kv, omega, mode_sigma(omega, volume, constants), polarization_basis(kv),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import zpfsim
-from zpfsim import cli, kernels, oscillator, rng
+from zpfsim import cli, dists, kernels, oscillator, rng
 from zpfsim.cli import main
 from zpfsim.constants import PhysicalConstants
 
@@ -46,6 +47,23 @@ def test_fit_sorts_each_sample_set_once(monkeypatch):
     for name, law in laws.items():
         assert fit[f"ks_{name}"] == zpfsim.ks_test(values, law.cdf, alpha=0.01).to_dict()
     assert fit["moments"] == zpfsim.moments(values).to_dict()
+
+
+def test_fit_of_a_modified_law_is_the_normal_law_of_its_sigma(medium_grid):
+    """total-field and oscillator fit the modified FiniteLaw itself: the report
+    is the one of the normal law of sqrt(variance), whose cdf is _ndtr there."""
+    weak = PhysicalConstants(electron_charge=0.01)
+    p = oscillator.OscillatorParams.from_constants(1.0, weak)
+    shells = oscillator.resonance_shell_grid(p, weak, n_shells=8)
+    h = oscillator.transfer(shells.omega, p)
+    for law in (zpfsim.FiniteLaw.of("modified", medium_grid, (0.3, 0.5, 0.8)),
+                zpfsim.FiniteLaw.of("modified", shells, (0.0, 1.0, 0.0), h.real, h.imag)):
+        sigma = np.sqrt(law.variance)
+        values = sigma * np.random.default_rng(8).standard_normal(5000)
+        fit = cli._fit(values, gaussian=law)
+        assert fit == cli._fit(values, gaussian=zpfsim.GaussianMode(sigma))
+        assert fit == cli._fit(values, gaussian=types.SimpleNamespace(
+            cdf=lambda x: dists._ndtr(np.asarray(x, dtype=float), sigma)))
 
 
 class TestValidation:
@@ -231,6 +249,10 @@ class TestValidation:
          '"shells": {"n_shells": 8}}', "out of memory: fields 'samples' give:"),
         # a computed default that fails names the field it is computed from
         ("oscillator", '{"oscillator": {"nu0": 1e308}}', "fields 'oscillator.nu0' give:"),
+        # a repeated polarization would repeat its modes
+        ("total-field", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0, '
+         '"polarizations": [1, 1, 1]}, "component": [0, 1, 0]}',
+         "field 'grid.polarizations' must be a list that holds no entry twice"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -253,7 +275,7 @@ class TestValidation:
             "density_huge", "gamma_broad_line", "eps0_broad_line", "nu0_broad_line",
             "coverage_tiny", "samples_2^53_sample_mode", "samples_2^53_total_field",
             "bins_2^53", "points_2^53", "s_points_2^53", "samples_2^53_oscillator",
-            "nu0_huge_omega_max_default"])
+            "nu0_huge_omega_max_default", "polarizations_repeated"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)

@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,8 @@ from zpfsim import (
     transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length
+from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length, _ndtr
+from zpfsim.fields import FieldKind
 
 from reference import binned_energy_density, energy_density_bin_average
 
@@ -82,6 +84,27 @@ class TestArcsineCdf:
         with pytest.raises(ValueError, match="amplitude must be strictly positive"):
             Arcsine(-1.0).cdf(0.0)
 
+    @pytest.mark.parametrize("amplitude", [2.0, np.sqrt(2.0) * 0.7, 1e-3, 37.1])
+    def test_variance_and_generating_function(self, amplitude):
+        # the one-row Boyer law: variance A^2/2 and generating function J0(A s)
+        law = Arcsine(amplitude)
+        assert law.variance == amplitude * amplitude / 2.0
+        s = np.linspace(-40.0, 40.0, 1001)
+        assert np.array_equal(law(s), j0(amplitude * s))
+        assert law(0.3) == j0(amplitude * 0.3)
+
+
+@pytest.mark.parametrize("method", ["pdf", "cdf"])
+def test_laws_without_closed_form_refuse_pdf_and_cdf(small_grid, method):
+    for law in (FiniteLaw(FieldKind.BOYER, np.array([1.0, 2.0])),
+                FiniteLaw.of("boyer", small_grid, (0.3, 0.5, 0.8))):
+        with pytest.raises(ValueError, match="no closed-form pdf or cdf"):
+            getattr(law, method)(0.0)
+    # a modified law of variance 0, along a direction no mode's field has
+    one = grid_from_kvectors([[0.0, 0.0, 1.0]], volume=1.0, polarizations=(1,))
+    with pytest.raises(ValueError, match="modified law of variance 0.0 has no pdf or cdf"):
+        getattr(FiniteLaw.of("modified", one, (0.0, 1.0, 0.0)), method)(0.0)
+
 
 class TestQuantumOscillator:
     def test_ground_state_center(self):
@@ -127,6 +150,11 @@ class TestQuantumOscillator:
         with pytest.raises(ValueError):
             quantum_oscillator_pdf(-1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan])
+    def test_invalid_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be strictly positive"):
+            quantum_oscillator_pdf(0, 0.0, alpha)
+
     def test_internode_averages_track_classical(self):
         # local averages over inter-node intervals follow the fixed-energy
         # classical law inside |x| <= 0.9
@@ -146,6 +174,9 @@ class TestGaussianMode:
         # written-out exp(-s^2 sigma^2 / 2), a float for a scalar s
         s = np.linspace(-4.0, 4.0, 33)
         assert GaussianGF is GaussianMode
+        # the one-row laws are FiniteLaws
+        for law in (GaussianMode(0.7), GaussianGF(0.7), Arcsine(1.0)):
+            assert type(law) is FiniteLaw and law.amplitudes.shape == (1,)
         assert np.array_equal(GaussianMode(0.7)(s), np.exp(-(s**2) * 0.7**2 / 2.0))
         value = GaussianMode(0.7)(1.3)
         assert isinstance(value, float) and value == np.exp(-(1.3**2) * 0.7**2 / 2.0)
@@ -171,6 +202,11 @@ class TestGaussianMode:
 class TestTotalFieldSigma:
     def test_value(self):
         assert total_field_sigma(1.0, CONSTS) ** 2 == pytest.approx(1 / (24 * np.pi**2))
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, np.nan])
+    def test_precondition(self, cutoff):
+        with pytest.raises(ValueError, match="omega_cutoff must be strictly positive"):
+            total_field_sigma(cutoff, CONSTS)
 
     def test_quartic_scaling(self):
         r = total_field_sigma(2.0, CONSTS) ** 2 / total_field_sigma(1.0, CONSTS) ** 2
@@ -420,6 +456,12 @@ class TestInversion:
             invert_characteristic(lambda s: np.ones_like(s),
                                   np.linspace(-1, 1, 11), s_max=5.0)
 
+    def test_negative_gf_has_no_mass(self):
+        # -exp(-s^2/2) decays, but inverts to minus the normal density
+        with pytest.raises(InsufficientRangeError, match="non-positive mass"):
+            invert_characteristic(lambda s: -np.exp(-(s**2) / 2.0),
+                                  np.linspace(-6, 6, 101), s_max=8.0)
+
     @pytest.mark.parametrize("args, name", [
         ({"x_grid": np.linspace(1.0, -1.0, 11)}, "x_grid"),
         ({"x_grid": [0.0]}, "x_grid"),
@@ -573,8 +615,8 @@ class TestDistributionCatalogue:
             # A*sin(t) stays representably below A
             eps = 1e-7
             t_pts = np.linspace(-np.pi / 2 + eps, np.pi / 2 - eps, 20001)
-            x = arc.amplitude * np.sin(t_pts)
-            w = arc.pdf(x) * arc.amplitude * np.cos(t_pts)
+            x = arc.amplitudes[0] * np.sin(t_pts)
+            w = arc.pdf(x) * arc.amplitudes[0] * np.cos(t_pts)
             return np.trapezoid(x**p * w, t_pts)
 
         assert arc_moment(1) == pytest.approx(0.0, abs=1e-12)
@@ -635,6 +677,14 @@ class TestGaussianCdf:
         assert [law.cdf(v) for v in x[::997]] == values[::997].tolist()
         assert type(law.cdf(0.3)) is float
         assert law.cdf(np.empty((0, 2))).shape == (0, 2)
+
+    def test_modified_law_is_ndtr_of_its_sigma(self, medium_grid):
+        # a modified law of many rows is the normal law of its variance, and
+        # its cdf is _ndtr at sqrt(variance), bit for bit
+        law = FiniteLaw.of("modified", medium_grid, (0.3, 0.5, 0.8))
+        x = np.linspace(-12.0, 12.0, 3 * 2**13 + 5) * math.sqrt(law.variance)
+        assert np.array_equal(law.cdf(x), _ndtr(x, math.sqrt(law.variance)))
+        assert np.max(np.abs(law.cdf(x) - ndtr(x / math.sqrt(law.variance)))) <= 2.3e-16
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
     def test_refuses_non_positive_sigma(self, sigma):

@@ -85,6 +85,10 @@ class TestBuildGrid:
     def test_empty_grid_error(self):
         with pytest.raises(EmptyGridError, match="empty grid"):
             build_grid(2 * np.pi, 0.5, CONSTS)
+        none = np.empty((0, 3))
+        with pytest.raises(EmptyGridError, match="empty grid: no modes"):
+            ModeGrid.from_wavevectors(none, np.empty(0), np.empty(0), (none, none),
+                                      constants=CONSTS)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -209,6 +213,12 @@ class TestModeSigma:
         with pytest.raises(ValueError):
             mode_sigma(1.0, 0.0, CONSTS)
 
+    @pytest.mark.parametrize("name", ["hbar", "eps0", "c", "electron_mass", "electron_charge"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_constants_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"constant '{name}' must be finite and strictly"):
+            PhysicalConstants(**{name: value})
+
 
 class TestUnitVector:
     @pytest.mark.parametrize("direction", [[1e300, 0.0, 0.0], [1e-200, 0.0, 0.0]],
@@ -330,5 +340,7 @@ class TestCustomGrid:
             grid_from_kvectors([[0.0, 0.0, 1.0], k], volume=1.0)
 
     def test_rejects_bad_polarizations(self):
-        with pytest.raises(ValueError):
-            grid_from_kvectors([[0, 0, 1]], volume=1.0, polarizations=(3,))
+        # a repeated polarization would repeat its mode
+        for pols in [(3,), (), (1, 1), (2, 1, 2), (1, 1, 1)]:
+            with pytest.raises(ValueError, match="polarizations must be a nonempty subset"):
+                grid_from_kvectors([[0, 0, 1]], volume=1.0, polarizations=pols)

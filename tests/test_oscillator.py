@@ -285,6 +285,12 @@ class TestResonanceIntegral:
         p = OscillatorParams.from_constants(1.0, WEAK)
         assert resonance_integral(p, 50.0)[0] == 29.6091543638641
 
+    @pytest.mark.parametrize("omega_max", [0.0, -1.0, np.nan])
+    def test_refuses_non_positive_cutoff(self, omega_max):
+        p = OscillatorParams.from_constants(1.0, WEAK)
+        with pytest.raises(ValueError, match="omega_max must be strictly positive"):
+            resonance_integral(p, omega_max)
+
     def test_unresolved_peak_raises(self, monkeypatch):
         # one panel per edge run, a window far narrower than the line and a
         # single doubling cannot resolve the peak

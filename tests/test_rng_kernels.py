@@ -59,6 +59,11 @@ class TestStreams:
         with pytest.raises(ValueError, match=f"mode index {index} "):
             rng.mode_stream(3, index)
 
+    @pytest.mark.parametrize("modes", [[0.5], [0.0, 1.0], ["1"]])
+    def test_mode_indices_must_be_integers(self, modes):
+        with pytest.raises(ValueError, match="mode indices must be integers"):
+            rng.mode_keys(3, modes)
+
     @pytest.mark.parametrize("n", [0, 5, 4 * 2**64 + 6])
     def test_position_is_advance_and_remainder(self, n):
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(4, spawn_key=(1,))))
@@ -66,6 +71,10 @@ class TestStreams:
         ref.random(n % 4)
         gen = rng.position(rng.mode_stream(8, 0), rng.mode_keys(4, [1])[0], n)
         assert np.array_equal(gen.random(9), ref.random(9))
+
+    def test_position_refuses_negative_count(self):
+        with pytest.raises(ValueError, match="negative number of draws"):
+            rng.position(rng.mode_stream(8, 0), rng.mode_keys(4, [1])[0], -1)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError, match="seed"):
