@@ -105,11 +105,12 @@ def _choice(*options):
 
 def _list(item, distinct=False):
     """A non-empty list whose entries item parses as name[i], with distinct
-    no entry twice."""
+    no entry twice (a list entry compared as a tuple: -0.0 equals 0.0)."""
     def parse(value, name, root=None):
         _check(lambda v: isinstance(v, list) and v, "a non-empty list")(value, name)
         out = [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
-        return _check(lambda v: not distinct or len(set(v)) == len(v),
+        key = lambda v: tuple(v) if isinstance(v, list) else v
+        return _check(lambda v: not distinct or len(set(map(key, v))) == len(v),
                       "a list that holds no entry twice")(out, name)
     return parse
 
@@ -126,7 +127,8 @@ def _grid(box_side, omega_cutoff):
     """A lattice grid with these defaults, or a custom one given by kvectors."""
     return {}, _object(
         {"box_side": (box_side, POSITIVE), "omega_cutoff": (omega_cutoff, POSITIVE)},
-        "kvectors", {"kvectors": (REQUIRED, _list(DIRECTION)), "volume": (REQUIRED, POSITIVE),
+        "kvectors", {"kvectors": (REQUIRED, _list(DIRECTION, distinct=True)),
+                     "volume": (REQUIRED, POSITIVE),
                      "polarizations": ([1, 2], _list(_choice(1, 2), distinct=True))})
 
 

@@ -197,10 +197,16 @@ def grid_from_kvectors(k_vectors, volume: float,
     Intended for controlled experiments (single-mode grids, deliberately
     sparse grids). The polarization-pair structure of lattice grids is
     relaxed: any subset of (1, 2), in either order, may be requested per
-    call, but no polarization twice.
+    call, but no polarization twice. No wavevector may repeat either: a
+    repeat would hold copies of its modes.
     """
     kv = np.atleast_2d(np.asarray(k_vectors, dtype=float))
     norm = vector_lengths(kv, "k_vectors", rows=True)
+    first = {}
+    for i, row in enumerate(map(tuple, kv.tolist())):
+        j = first.setdefault(row, i)
+        if j != i:
+            raise ValueError(f"k_vectors[{i}] repeats k_vectors[{j}], got {list(row)}")
     polarizations = tuple(polarizations)
     if (not polarizations or any(p not in (1, 2) for p in polarizations)
             or len(set(polarizations)) < len(polarizations)):

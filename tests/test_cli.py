@@ -253,6 +253,12 @@ class TestValidation:
         ("total-field", '{"grid": {"kvectors": [[1, 0, 0]], "volume": 1.0, '
          '"polarizations": [1, 1, 1]}, "component": [0, 1, 0]}',
          "field 'grid.polarizations' must be a list that holds no entry twice"),
+        # so would a repeated wavevector, -0.0 being 0.0
+        ("total-field", '{"grid": {"kvectors": [[1, 0, 0], [1, 0, 0]], "volume": 1.0}, '
+         '"component": [0, 1, 0]}',
+         "field 'grid.kvectors' must be a list that holds no entry twice"),
+        ("sample-mode", '{"grid": {"kvectors": [[0, 0, 1], [0.0, -0.0, 1.0]], "volume": 1.0}}',
+         "field 'grid.kvectors' must be a list that holds no entry twice"),
     ], ids=["mode_index_999", "mode_index_negative", "mode_index_fraction", "level",
             "level_cap", "points_0", "points_1", "alpha_0", "alpha_nan", "amplitude_inf",
             "amplitude_negative", "amplitude_huge", "amplitude_tiny", "bins",
@@ -275,7 +281,8 @@ class TestValidation:
             "density_huge", "gamma_broad_line", "eps0_broad_line", "nu0_broad_line",
             "coverage_tiny", "samples_2^53_sample_mode", "samples_2^53_total_field",
             "bins_2^53", "points_2^53", "s_points_2^53", "samples_2^53_oscillator",
-            "nu0_huge_omega_max_default", "polarizations_repeated"])
+            "nu0_huge_omega_max_default", "polarizations_repeated",
+            "kvectors_repeated", "kvectors_repeated_signed_zero"])
     def test_bad_field(self, tmp_path, capsys, command, text, field):
         """Each bad value exits 1 naming its field, before any output exists."""
         cfg = json.loads(text)

@@ -62,10 +62,12 @@ units = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi)).map(
 
 @st.composite
 def grids(draw):
-    """1-6 modes: 1-6 wavevectors of one polarization or 1-3 of both."""
+    """1-6 modes: 1-6 wavevectors of one polarization or 1-3 of both; a
+    wavevector drawn twice is kept once (grid_from_kvectors refuses repeats)."""
     pols = draw(st.sampled_from([(1,), (2,), (1, 2)]))
     kv = [draw(st.floats(0.5, 3.0)) * draw(units)
           for _ in range(draw(st.integers(1, 6 // len(pols))))]
+    kv = list({tuple(k): k for k in kv}.values())
     return grid_from_kvectors(kv, draw(st.floats(0.5, 8.0)), CONSTS, polarizations=pols)
 
 

@@ -339,6 +339,19 @@ class TestCustomGrid:
                                              "whose squared length"):
             grid_from_kvectors([[0.0, 0.0, 1.0], k], volume=1.0)
 
+    @pytest.mark.parametrize("kv, message", [
+        ([[1, 0, 0], [1, 0, 0]], r"k_vectors\[1\] repeats k_vectors\[0\], got \[1.0, 0.0, 0.0\]"),
+        ([[0, 0, 1], [1, 2, 3], [0.0, -0.0, 1.0]], r"k_vectors\[2\] repeats k_vectors\[0\]"),
+    ], ids=["pair", "signed_zero"])
+    def test_rejects_repeated_wavevectors(self, kv, message):
+        # a repeated wavevector would hold copies of its modes
+        with pytest.raises(ValueError, match=message):
+            grid_from_kvectors(kv, volume=1.0)
+
+    def test_opposite_wavevectors_are_distinct_modes(self):
+        grid = grid_from_kvectors([[1, 0, 0], [-1, 0, 0]], volume=1.0, constants=CONSTS)
+        assert len(grid) == 4
+
     def test_rejects_bad_polarizations(self):
         # a repeated polarization would repeat its mode
         for pols in [(3,), (), (1, 1), (2, 1, 2), (1, 1, 1)]:

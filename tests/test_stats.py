@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zpfsim import Arcsine, GaussianMode, ks_critical, ks_test, moments
-from zpfsim.stats import CSV_BLOCK_ROWS, histogram, write_csv
+from zpfsim import Arcsine, GaussianMode, ks_critical, ks_test, moments, stats
+from zpfsim.stats import CSV_BLOCK_VALUES, histogram, write_csv
 
 from reference import empirical_generating
+
+POWERS_OF_TEN = 10.0 ** np.arange(-323, 309)
 
 
 def normal_samples(n, seed):
@@ -229,7 +233,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("columns", [1, 3])
     def test_body_matches_per_row_format(self, tmp_path, columns):
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(50)))
-        n = CSV_BLOCK_ROWS + 3  # crosses a block boundary
+        n = CSV_BLOCK_VALUES + 3  # crosses a block boundary
         values = gen.standard_normal((n, columns)) * 10.0 ** gen.integers(-300, 300, (n, 1))
         values.ravel()[:len(self.EDGE_VALUES)] = self.EDGE_VALUES
         names = ["c%d" % i for i in range(columns)]
@@ -246,3 +250,81 @@ class TestWriteCsv:
                                            np.empty(shape), {}))
         assert body == ""
         assert header[-1] == "x,y,z\n"
+
+    def test_no_columns(self, tmp_path):
+        header, body = self.read(write_csv(tmp_path / "n.csv", "none", [], np.empty((0, 0)), {}))
+        assert (header, body) == (["# zpfsim none\n", "\n"], "")
+
+    def body(self, tmp_path, values):
+        return self.read(write_csv(tmp_path / "v.csv", "values", ["x"], values, {}))[1]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("values", [
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0.0),
+                        np.nextafter(POWERS_OF_TEN, np.inf)]),
+        np.arange(0.0, 2.0**53 + 1.0, 2.0**53 / 65536),        # integers
+        np.arange(0.0, 2.0**53, 2.0**53 / 65536) + 0.5,         # halves
+        np.array([2.0**53, 2.0**53 - 1.0, 2.0**52 + 0.5, 1.0, 0.5, 1.5]),
+        # 18 digits ending in 5: ties that round half to even, both ways
+        1.0 + np.arange(1, 200, 2) * 2.0**-17,
+        # doubles just below 10**k whose 17 digits round up to 10**k
+        np.array([1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129, 1e153, 1e220]),
+        np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]),
+        np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]),
+    ], ids=["powers_of_two", "powers_of_ten", "integers", "halves", "near_2^53", "ties",
+            "next_decade", "zeros_nan_inf", "subnormals"])
+    def test_exact_17g(self, tmp_path, values, sign):
+        """Each value is the bytes of Python's '%.17g', at every binary and
+        decimal exponent and at the edges of the fast path."""
+        values = sign * values
+        assert self.body(tmp_path, values) == self.reference_body(values[:, None])
+
+    def test_fallback_runs_and_matches(self, tmp_path, monkeypatch):
+        """Values the fast path cannot certify take Python's '%.17g', and
+        only they: inf, |v| outside [1e-280, 1e280], and an exact tie at
+        the 18th digit (3 * 2**-24 = 1.78813934326171875e-07) whose scale
+        10**23 is inexact. Values just below 1e10 and 0.1, whose log10
+        rounds up to the next decade, are moved to their own and stay on
+        the fast path."""
+        formatted, python_17g = [], stats._python_17g
+
+        def spy(v):
+            formatted.append(float(v))
+            return python_17g(v)
+
+        monkeypatch.setattr(stats, "_python_17g", spy)
+        fallback = [np.inf, 5e-324, 1e300, 3.0 * 2.0**-24, -1e-300]
+        values = np.array([0.1, fallback[0], -0.0, *fallback[1:], 1.0 / 3.0, 0.0,
+                           np.nextafter(1e10, 0.0), np.nextafter(0.1, 0.0)])
+        assert self.body(tmp_path, values) == self.reference_body(values[:, None])
+        assert formatted == fallback
+
+    def test_column_order_and_dtypes(self, tmp_path):
+        """An F-order (n, 3) array (as kernels.mode_sum returns), int and
+        bool columns are written as '%.17g' of each value, row by row."""
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(51)))
+        for rows in [np.asfortranarray(gen.standard_normal((5000, 3))),
+                     gen.integers(-2**62, 2**62, (3000, 2)),
+                     gen.integers(0, 2**64 - 1, (100, 3), dtype=np.uint64),
+                     gen.random((1000, 3)) < 0.5]:
+            names = ["c%d" % i for i in range(rows.shape[1])]
+            header, body = self.read(write_csv(tmp_path / "d.csv", "d", names, rows, {}))
+            assert body == self.reference_body(rows.tolist())
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 4097])
+    def test_block_size_moves_no_byte(self, tmp_path, monkeypatch, block):
+        """The block geometry is a constant that changes no byte."""
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(52)))
+        values = gen.standard_normal((2000, 3)) * 10.0 ** gen.integers(-30, 30, (2000, 3))
+        values[::97] = np.nan
+        before = write_csv(tmp_path / "a.csv", "t", "xyz", values, {}).read_bytes()
+        monkeypatch.setattr(stats, "CSV_BLOCK_VALUES", block)
+        assert write_csv(tmp_path / "b.csv", "t", "xyz", values, {}).read_bytes() == before
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, tmp_path_factory, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        body = self.body(tmp_path_factory.mktemp("bits"), values)
+        assert body == self.reference_body(values[:, None])

@@ -1,11 +1,12 @@
 """Check the CLI's exit contract over a grid of extreme config values.
 
-Each subcommand starts from a small base config that exits 0. Every leaf
-field of that config, as cli.SPECS resolves it (a list stands for its first
-entry), except the fields that take one of a few fixed values (CHOICES), is
-set alone to each of 26 extreme values: 1404 configs in all. Each runs as
+Each subcommand starts from one or more small base configs that exit 0
+(BASES; total-field has a lattice grid and a custom one). Every leaf field
+of a base, as cli.SPECS resolves it (a list stands for its first entry),
+except the fields that take one of a few fixed values (CHOICES), is set
+alone to each of 26 extreme values: 1768 configs in all. Each runs as
 ``python -m zpfsim`` in a child process under a 3 GB address-space limit
-(RLIMIT_AS) and a timeout, at most two at a time (about 5 minutes on two
+(RLIMIT_AS) and a timeout, at most two at a time (about 6 minutes on two
 cores). The script prints every contract violation:
 
 - an exit code outside {0, 1, 2}
@@ -38,14 +39,18 @@ LIMIT_BYTES = 3 * 1024**3
 TIMEOUT_S = 60.0
 WORKERS = 2
 
-BASES = {
-    "sample-mode": {"samples": 10},
-    "total-field": {"samples": 10},
-    "oscillator": {"samples": 10, "constants": {"electron_charge": 0.01},
-                   "shells": {"n_shells": 8}},
-    "figure1": {},
-    "generating": {"s_points": 11},
-}
+# (command, base config); a command may have several bases, and the custom
+# grid's puts grid.kvectors, grid.volume and grid.polarizations in the grid
+BASES = [
+    ("sample-mode", {"samples": 10}),
+    ("total-field", {"samples": 10}),
+    ("total-field", {"samples": 10,
+                     "grid": {"kvectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], "volume": 1.0}}),
+    ("oscillator", {"samples": 10, "constants": {"electron_charge": 0.01},
+                    "shells": {"n_shells": 8}}),
+    ("figure1", {}),
+    ("generating", {"s_points": 11}),
+]
 CHOICES = {"command", "out", "kind", "rng_layout", "oscillator.from_constants"}
 VALUES = [0, -0.0, 5e-324, 1e-308, 1e-300, 1e-200, 1e-154, 1e-9, 1e6, 1e7, 1e9, 1e150,
           1e154, 1e200, 1e300, 1e308, -1e308, -1.0, 2**53, 2**53 + 1, 2**63 - 1, 2**63,
@@ -80,7 +85,7 @@ def with_value(base, resolved, path, value) -> dict:
 
 
 def jobs():
-    for command, base in BASES.items():
+    for command, base in BASES:
         base = {"seed": 1, **base}
         resolved = cli._resolve(cli.SPECS[command], base)
         for path in (p for p in leaves(resolved) if field_name(p) not in CHOICES):
