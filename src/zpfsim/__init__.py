@@ -20,8 +20,6 @@ from .lattice import (
     ModeGrid,
     build_grid,
     grid_from_kvectors,
-    mode_sigma,
-    polarization_basis,
 )
 from .dists import (
     Arcsine,
@@ -30,7 +28,6 @@ from .dists import (
     GaussianGF,
     GaussianMode,
     InsufficientRangeError,
-    boyer_generating,
     hermite_function,
     invert_characteristic,
     quantum_oscillator_pdf,

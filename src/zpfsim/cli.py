@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dists, fields, oscillator, stats
+from . import dists, fields, oscillator, rng, stats
 from .constants import PhysicalConstants
 from .dists import (
     Arcsine,
@@ -140,8 +140,9 @@ DIRECTION = _check(lambda v: _point(v, nonzero=True),
                    "three finite real numbers whose squared length is a finite nonzero double",
                    lambda v: list(map(float, v)))
 SIGMA_K = ("constants.hbar", "constants.eps0", "constants.c")   # read by omega and sigma_k
+KINDS = [kind.value for kind in fields.FieldKind]   # "boyer", "modified"
 SAMPLING = dict(
-    kind=("modified", _choice("boyer", "modified")),
+    kind=("modified", _choice(*KINDS)),
     samples=(10000, _int(10)),   # every sampling subcommand runs a KS test
     # kept as given: report.json echoes an int electron_mass as an int
     constants=({}, _object({name: (value, _check(lambda v: _number(v) and v > 0,
@@ -149,7 +150,7 @@ SAMPLING = dict(
                            for name, value in PhysicalConstants().to_dict().items()})),
     # the stream layout that maps a seed to samples (README "Reproducibility"):
     # a version stamp, not an option; a manifest of another layout is refused
-    rng_layout=(2, _choice(2)))
+    rng_layout=(rng.STREAM_LAYOUT, _choice(rng.STREAM_LAYOUT)))
 FIELD = dict(SAMPLING, r=([0.0, 0.0, 0.0], POINT), t=(0.0, REAL), grid=_grid(2.0 * np.pi, 2.5))
 
 SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SEED),
@@ -191,7 +192,7 @@ SPECS = {command: {"command": (command, _choice(command)), "seed": (REQUIRED, SE
 # flag -> argparse options; a subcommand has the flags its spec has fields for
 FLAGS = {"seed": {"type": int, "help": "RNG seed (mandatory, no default)"},
          "out": {"help": "output directory"},
-         "kind": {"choices": ["boyer", "modified"], "help": "field kind"},
+         "kind": {"choices": KINDS, "help": "field kind"},
          "samples": {"type": int, "help": "Monte Carlo sample count"}}
 
 
@@ -245,7 +246,7 @@ def _reading(*fields, errors=(ValueError, MemoryError)):
 
 def _mode_grid(cfg, factor=None) -> ModeGrid:
     """The setup step of cfg's custom grid, or of its lattice with the volume
-    times density_factors[factor]; every mode scale sigma_k finite and > 0."""
+    times density_factors[factor]."""
     spec, constants = cfg["grid"], PhysicalConstants(**cfg["constants"])
     density = [] if factor is None else [f"density_factors[{factor}]"]
     with _reading(*(f"grid.{key}" for key in spec), *SIGMA_K, *density):
@@ -255,8 +256,6 @@ def _mode_grid(cfg, factor=None) -> ModeGrid:
         else:   # mode density scales with volume: factor f multiplies L^3
             scale = 1.0 if factor is None else cfg["density_factors"][factor] ** (1.0 / 3.0)
             grid = build_grid(spec["box_side"] * scale, spec["omega_cutoff"], constants)
-        if not np.all((grid.sigma > 0.0) & (grid.sigma < np.inf)):
-            raise ValueError("a mode scale sqrt(hbar*omega / (2*eps0*V)) outside (0, inf)")
     return grid
 
 

@@ -90,9 +90,6 @@ class SampleSet:
         if self.meta.get("count") != len(values):
             raise ValueError("meta count does not match number of values")
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     def to_csv(self, path):
         names = ("x", "y", "z") if self.values.ndim == 2 else ("value",)
         return stats.write_csv(path, "sample set", names, self.values, self.meta)

@@ -104,7 +104,8 @@ class ModeGrid:
     is "lattice" for the periodic-box builder, "custom" for explicit
     wavevector lists, and "shell" for the oscillator's resonance quadrature
     grids (whose sigma values carry mode-density weights and are not tied
-    to a box volume).
+    to a box volume). Whatever the builder, a grid holds at least one mode
+    and every mode scale sigma_k is finite and > 0.
     """
 
     k: np.ndarray                       # (M, 3)
@@ -125,6 +126,10 @@ class ModeGrid:
             object.__setattr__(self, name, arr)
         if len(self.omega) == 0:
             raise EmptyGridError("empty grid: no modes")
+        bad = np.flatnonzero(~((self.sigma > 0.0) & (self.sigma < np.inf)))
+        if bad.size:
+            raise ValueError(f"mode {bad[0]} has a scale sigma_k of "
+                             f"{float(self.sigma[bad[0]])!r}, outside (0, inf)")
 
     def __len__(self) -> int:
         return self.omega.shape[0]
@@ -173,13 +178,7 @@ def build_grid(box_side: float, omega_cutoff: float,
     n = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1)
     norm_sq = np.einsum("ij,ij->i", n, n)
     keep = (norm_sq > 0) & (constants.c * dk * np.sqrt(norm_sq) <= omega_cutoff * (1.0 + 1e-12))
-    n = n[keep]
-    if n.shape[0] == 0:
-        raise EmptyGridError(
-            f"empty grid: no lattice mode with c|k| <= {omega_cutoff:g} "
-            f"for box side {box_side:g}"
-        )
-    k = n * dk
+    k = n[keep] * dk
     kn = np.linalg.norm(k, axis=1)
     omega = constants.c * kn
     volume = box_side**3

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+STREAM_LAYOUT = 2    # the rng_layout of a run's manifest (module docstring)
+
 # uniforms consumed per realization, per mode
 BLOCK_PHASE = 1      # one phase draw
 BLOCK_NORMAL_PAIR = 2  # Box-Muller pair
@@ -41,9 +43,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -20,6 +20,7 @@ path.
 from __future__ import annotations
 
 import functools
+import math
 import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -73,26 +74,29 @@ def _finite_samples(samples, minimum: int, what: str) -> np.ndarray:
 
 
 def moments(samples) -> MomentReport:
+    """Mean, unbiased variance, skewness and excess kurtosis of samples.
+    When max|d| of the deviations d = x - mean lies outside [2**-200,
+    2**200], where d**4 could overflow or underflow to 0, d is first scaled
+    by an exact power of two: the variance is scaled back, and skewness and
+    kurtosis, which do not depend on the scale, come from the scaled d."""
     x = _finite_samples(samples, 2, "a moment report")
     n = x.size
     mean = float(np.mean(x))
     d = x - mean
+    big = max(float(np.max(d)), -float(np.min(d)))
+    shift = 0 if big == 0.0 or 2.0**-200 <= big <= 2.0**200 else -math.frexp(big)[1]
+    if shift:
+        d = np.ldexp(d, shift)
     d2 = d * d  # products, not d**3 and d**4: libm pow is about 20x slower
     m2 = float(np.mean(d2))
     m3 = float(np.mean(d2 * d))
     m4 = float(np.mean(d2 * d2))
-    variance = m2 * n / (n - 1)
+    variance = math.ldexp(m2, -2 * shift) * n / (n - 1)
     skewness = m3 / m2**1.5 if m2 > 0 else 0.0
     excess_kurtosis = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
-    return MomentReport(
-        count=n,
-        mean=mean,
-        variance=float(variance),
-        skewness=float(skewness),
-        excess_kurtosis=float(excess_kurtosis),
-        se_mean=float(np.sqrt(variance / n)),
-        se_variance=float(variance * np.sqrt(2.0 / (n - 1))),
-    )
+    return MomentReport(count=n, mean=mean, variance=variance, skewness=skewness,
+                        excess_kurtosis=excess_kurtosis, se_mean=math.sqrt(variance / n),
+                        se_variance=variance * math.sqrt(2.0 / (n - 1)))
 
 
 def ks_critical(alpha: float, n: int) -> float:

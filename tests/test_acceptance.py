@@ -130,7 +130,7 @@ def test_criterion_5_generating_function_convergence():
     devs = []
     for factor in (1.0, 4.0, 16.0):   # mode density per fixed cutoff scales with V
         grid = z.build_grid(4 * np.pi * factor ** (1 / 3), cutoff, CONSTS)
-        dev = np.abs(z.boyer_generating(s, shat, grid)
+        dev = np.abs(z.dists.boyer_generating(s, shat, grid)
                      - z.FiniteLaw.of("modified", grid, shat)(s))
         devs.append(float(np.max(dev)))
     ratios = (devs[0] / devs[1], devs[1] / devs[2])

@@ -3,21 +3,22 @@ deliberate API change, made here as well as in zpfsim/__init__.py."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import zpfsim
+from zpfsim import cli
 
 PUBLIC = [
     "Arcsine", "BesselProductGF", "ConvergenceError", "EmptyGridError", "FieldKind",
     "FiniteLaw", "GaussianGF", "GaussianMode", "InsufficientRangeError", "KSResult",
     "ModeGrid", "MomentReport", "OscillatorParams", "PhysicalConstants", "SampleSet",
-    "bohr_radius_sq", "boyer_generating", "build_grid", "coordinate_ensemble",
-    "grid_from_kvectors", "hermite_function", "histogram", "invert_characteristic",
-    "ks_critical", "ks_test", "mode_sigma", "moments", "polarization_basis",
-    "predicted_variance", "quantum_oscillator_pdf", "resonance_integral",
+    "bohr_radius_sq", "build_grid", "coordinate_ensemble", "grid_from_kvectors",
+    "hermite_function", "histogram", "invert_characteristic", "ks_critical", "ks_test",
+    "moments", "predicted_variance", "quantum_oscillator_pdf", "resonance_integral",
     "resonance_shell_grid", "sample_field_batch", "sample_mode_batch", "total_field_sigma",
     "transfer",
 ]
@@ -68,3 +69,19 @@ def test_sampling_commands_leave_scipy_unloaded(tmp_path):
                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["0 []"] * 4 + ["0 ['scipy']"]
+
+
+def test_readme_config_table_matches_specs():
+    """The README's "Config fields" table lists, per subcommand, exactly the
+    top-level fields of cli.SPECS besides command, seed and out."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Config fields\n", 1)[1].split("\n## ", 1)[0]
+    documented = {command: set() for command in cli.SPECS}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            fields, readers = line.split("|")[1:3]
+            names = re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", fields))   # no (`--flag`)
+            for command in readers.split(","):
+                documented[command.strip()].update(names)
+    assert documented == {command: set(spec) - {"command", "seed", "out"}
+                          for command, spec in cli.SPECS.items()}

@@ -220,6 +220,11 @@ class TestValidation:
         ("sample-mode", '{"constants": {"eps0": 1e308}}', "'constants.eps0'"),
         ("total-field", '{"constants": {"hbar": 5e-324}}', "'constants.hbar'"),
         ("generating", '{"constants": {"eps0": 1e308}}', "'constants.eps0'"),
+        # a shell grid is checked as any other grid is
+        ("oscillator", '{"constants": {"hbar": 1e-320, "electron_charge": 0.01}, '
+         '"shells": {"n_shells": 8}}',
+         "'constants.hbar', 'shells.n_shells', 'shells.directions', 'shells.coverage' give: "
+         "mode 0 has a scale sigma_k of 0.0, outside (0, inf)"),
         # counts past 2**53, which np.linspace rounds (2**63 - 1 to an empty array)
         ("figure1", '{"points": 9223372036854775807}', "'points'"),
         ("generating", '{"s_points": 9223372036854775807}', "'s_points'"),
@@ -276,7 +281,8 @@ class TestValidation:
             "eps0_tiny", "electron_mass_huge", "electron_charge_tiny",
             "electron_charge_huge", "c_huge", "c_tiny",
             "hbar_tiny_sample_mode", "eps0_huge_sample_mode", "hbar_tiny_total_field",
-            "eps0_huge_generating", "points_2^63-1", "s_points_2^63-1", "bins_2^63-1",
+            "eps0_huge_generating", "hbar_tiny_shells", "points_2^63-1", "s_points_2^63-1",
+            "bins_2^63-1",
             "box_side_huge", "omega_cutoff_huge", "c_tiny_total_field", "c_huge_total_field",
             "density_huge", "gamma_broad_line", "eps0_broad_line", "nu0_broad_line",
             "coverage_tiny", "samples_2^53_sample_mode", "samples_2^53_total_field",
@@ -337,17 +343,18 @@ class TestValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, text", [
-        ("oscillator", '{"constants": {"hbar": 1e-308, "electron_charge": 0.01}}'),
         ("generating", '{"constants": {"c": 5e-324}}'),
         ("generating", '{"constants": {"hbar": 1e308}}'),
         ("generating", '{"grid": {"kvectors": [[1e-160, 0, 0]], "volume": 1.0}}'),
         ("generating", '{"constants": {"c": 1e-308}}'),
         ("generating", '{"grid": {"omega_cutoff": 1e308}}'),
-        # numpy overflows in the moments, also in the mode sum's second thread
+        # coordinates of about 1e154: the moments scale their deviations, so
+        # numpy first overflows squaring them for bohr_radius_sq_empirical
+        # (ens.values[:, :2] ** 2), also after a mode sum in two threads
         ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}, '
          '"samples": 100}'),
         ("oscillator", '{"constants": {"hbar": 1e308, "electron_charge": 0.01}}'),
-    ], ids=["osc_hbar_tiny", "gen_c_denormal",
+    ], ids=["gen_c_denormal",
             "gen_hbar_huge", "gen_kvector_tiny", "gen_c_tiny", "gen_cutoff_huge",
             "osc_non_finite_report", "osc_hbar_huge_two_threads"])
     def test_numerical_error_exit_2(self, tmp_path, command, text):
@@ -363,9 +370,26 @@ class TestValidation:
         assert line.startswith("numerical error: ")
         assert "RuntimeWarning" not in out.stderr and ".py:" not in out.stderr
         if '"hbar": 1e308' in text:
-            numpy_error = "overflow" if command == "oscillator" else "invalid value"
-            assert line == f"numerical error: {numpy_error} encountered in multiply"
+            assert line == ("numerical error: overflow encountered in square"
+                            if command == "oscillator"
+                            else "numerical error: invalid value encountered in multiply")
         assert not (tmp_path / "o").exists()
+
+    def test_tiny_coordinates_exit_0(self, tmp_path):
+        """hbar = 1e-308 gives coordinates of about 1e-154, whose fourth
+        powers underflow to 0: the moments scale the deviations first, so
+        the run reports, each axis's variance within 5 standard errors of
+        the grid's exact one. A child process, as in the test above."""
+        (tmp_path / "c.json").write_text(
+            '{"constants": {"hbar": 1e-308, "electron_charge": 0.01}}')
+        out = run_module("oscillator", "--seed", "1", "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "o"))
+        assert out.returncode == 0, out.stderr
+        report = read_report(tmp_path / "o")
+        for empirical, exact, fit in zip(report["empirical_variance_per_axis"],
+                                         report["grid_variance_per_axis"],
+                                         report["moments_per_axis"]):
+            assert abs(empirical - exact) < 5.0 * fit["se_variance"]
 
     @pytest.mark.parametrize("error, text", [
         (MemoryError("no room"), "error: out of memory: fields 'samples' give: no room"),

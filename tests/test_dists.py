@@ -19,7 +19,6 @@ from zpfsim import (
     GaussianMode,
     InsufficientRangeError,
     OscillatorParams,
-    boyer_generating,
     build_grid,
     grid_from_kvectors,
     hermite_function,
@@ -30,7 +29,7 @@ from zpfsim import (
     transfer,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length, _ndtr
+from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length, _ndtr, boyer_generating
 from zpfsim.fields import FieldKind
 
 from reference import binned_energy_density, energy_density_bin_average

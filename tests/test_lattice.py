@@ -9,12 +9,10 @@ from zpfsim import (
     OscillatorParams,
     build_grid,
     grid_from_kvectors,
-    mode_sigma,
-    polarization_basis,
     resonance_shell_grid,
 )
 from zpfsim.constants import PhysicalConstants
-from zpfsim.lattice import ModeGrid, unit_vector
+from zpfsim.lattice import ModeGrid, mode_sigma, polarization_basis, unit_vector
 from zpfsim.oscillator import AXIS_DIRECTIONS, fibonacci_directions
 
 CONSTS = PhysicalConstants()
@@ -89,6 +87,24 @@ class TestBuildGrid:
         with pytest.raises(EmptyGridError, match="empty grid: no modes"):
             ModeGrid.from_wavevectors(none, np.empty(0), np.empty(0), (none, none),
                                       constants=CONSTS)
+
+    def test_mode_scale_outside_zero_inf_refused(self):
+        """Every builder's grid is refused when a mode scale sigma_k is 0 or
+        inf, with a message that names the mode and gives a plain float."""
+        tiny = PhysicalConstants(hbar=5e-324)   # sigma_k^2 underflows to 0
+        weak_tiny = PhysicalConstants(hbar=1e-320, electron_charge=0.01)
+        zero = r"^mode 0 has a scale sigma_k of 0\.0, outside \(0, inf\)$"
+        with pytest.raises(ValueError, match=zero):
+            build_grid(2 * np.pi, 2.5, tiny)
+        with pytest.raises(ValueError, match=zero):
+            grid_from_kvectors([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 1.0, tiny)
+        with pytest.raises(ValueError, match=zero):
+            resonance_shell_grid(OscillatorParams.from_constants(1.0, weak_tiny), weak_tiny,
+                                 n_shells=8)
+        k = np.eye(3)
+        with pytest.raises(ValueError, match=r"^mode 2 has a scale sigma_k of inf, outside"):
+            ModeGrid.from_wavevectors(k, np.ones(3), np.array([1.0, np.inf, 1.0]),
+                                      polarization_basis(k), constants=CONSTS)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,18 @@ class TestMoments:
         x = normal_samples(500, 4)
         assert moments(3.0 * x).variance == pytest.approx(9.0 * moments(x).variance, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-500, -300, 300, 500])
+    def test_power_of_two_scale(self, k):
+        """Deviations of about 2**k, whose fourth powers underflow to 0 or
+        overflow, raise no floating-point error: the skewness and excess
+        kurtosis keep their bits, and the variance is scaled by 4**k."""
+        x = normal_samples(10000, 6)
+        ref = moments(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rep = moments(np.ldexp(x, k))
+        assert (rep.skewness, rep.excess_kurtosis) == (ref.skewness, ref.excess_kurtosis)
+        assert rep.variance == math.ldexp(ref.variance, 2 * k)
+
     def test_standard_errors_positive(self):
         rep = moments(normal_samples(100, 5))
         assert rep.se_mean > 0 and rep.se_variance > 0

@@ -1,13 +1,15 @@
 """Check the CLI's exit contract over a grid of extreme config values.
 
 Each subcommand starts from one or more small base configs that exit 0
-(BASES; total-field has a lattice grid and a custom one). Every leaf field
-of a base, as cli.SPECS resolves it (a list stands for its first entry),
-except the fields that take one of a few fixed values (CHOICES), is set
-alone to each of 26 extreme values: 1768 configs in all. Each runs as
-``python -m zpfsim`` in a child process under a 3 GB address-space limit
-(RLIMIT_AS) and a timeout, at most two at a time (about 6 minutes on two
-cores). The script prints every contract violation:
+(BASES; total-field has a lattice grid and a custom one, oscillator
+damping from the constants and explicit damping on listed directions).
+Every leaf field of a base, as cli.SPECS resolves it (a list stands for
+its first entry), except the fields that take one of a few fixed values
+(CHOICES), is set alone to each of 26 extreme values: 2184 configs in
+all. Each runs as ``python -m zpfsim`` in a child process under a 3 GB
+address-space limit (RLIMIT_AS) and a timeout, at most two at a time
+(about 6.5 minutes on two cores). The script prints every contract
+violation:
 
 - an exit code outside {0, 1, 2}
 - a Traceback or a ``.py:`` source line on stderr
@@ -39,8 +41,10 @@ LIMIT_BYTES = 3 * 1024**3
 TIMEOUT_S = 60.0
 WORKERS = 2
 
-# (command, base config); a command may have several bases, and the custom
-# grid's puts grid.kvectors, grid.volume and grid.polarizations in the grid
+# (command, base config); a command may have several bases: the custom
+# grid's puts grid.kvectors, grid.volume and grid.polarizations in the grid,
+# and the explicit-damping oscillator's puts oscillator.gamma, gamma_prime,
+# mass and a list of shells.directions in it
 BASES = [
     ("sample-mode", {"samples": 10}),
     ("total-field", {"samples": 10}),
@@ -48,6 +52,10 @@ BASES = [
                      "grid": {"kvectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], "volume": 1.0}}),
     ("oscillator", {"samples": 10, "constants": {"electron_charge": 0.01},
                     "shells": {"n_shells": 8}}),
+    ("oscillator", {"samples": 10,
+                    "oscillator": {"nu0": 1.0, "gamma": 1e-4, "gamma_prime": 0.01, "mass": 1.0},
+                    "shells": {"n_shells": 8,
+                               "directions": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}}),
     ("figure1", {}),
     ("generating", {"s_points": 11}),
 ]
