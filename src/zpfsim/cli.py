@@ -1,17 +1,12 @@
 """Command-line driver: every experiment as a deterministic, seeded run.
 
-Subcommands, with the top-level config fields each reads besides command,
-seed (required) and out; SPECS holds every field's default and check:
+Subcommands; SPECS holds the config fields each reads, with every field's
+default and check (the README's "Config fields" table lists them):
     sample-mode   single-mode amplitude samples + KS reports
-                  kind samples constants r t grid mode_index
     total-field   one component of the summed field + histogram + KS
-                  kind samples constants r t grid component bins
     oscillator    driven-oscillator coordinate ensemble + variance report
-                  kind samples constants t oscillator shells quadrature
     figure1       classical / quantum oscillator density curves as CSV
-                  level alpha amplitude points
     generating    Bessel-product vs Gaussian generating-function sweep
-                  constants grid direction s_points density_factors
 
 Every run requires an explicit seed (no wall-clock default). An unknown
 config key, top-level or nested, or a bad value exits 1 naming the field;

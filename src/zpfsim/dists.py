@@ -98,6 +98,9 @@ class FiniteLaw:
     kind: FieldKind
     amplitudes: np.ndarray
 
+    def __post_init__(self):   # "boyer" or "modified" becomes its FieldKind
+        object.__setattr__(self, "kind", _as_kind(self.kind))
+
     @classmethod
     def of(cls, kind, grid: ModeGrid, direction, re=1.0, im=0.0) -> "FiniteLaw":
         a, b = _mode_coefficients(kind := _as_kind(kind), grid.sigma, re, im)

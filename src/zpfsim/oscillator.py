@@ -114,11 +114,13 @@ def bohr_radius_sq(p: OscillatorParams, constants: PhysicalConstants) -> float:
 # ------------------------------------------------------ resonance integral
 
 def _gauss_panels(edges, f, nodes, weights):
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        total += half * np.sum(weights * f(0.5 * (a + b) + half * nodes))
-    return total
+    """The Gauss rule on every panel between successive edges, in one
+    evaluation of f; the panel sums are added left to right, as a loop
+    over the panels would add them (np.sum would pair them)."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    sums = np.sum(weights * f(mid[:, None] + half[:, None] * nodes), axis=1)
+    return np.add.accumulate(half * sums)[-1]
 
 
 def _resonance_edges(p: OscillatorParams, omega_max: float, panels: int):

@@ -78,7 +78,8 @@ def moments(samples) -> MomentReport:
     When max|d| of the deviations d = x - mean lies outside [2**-200,
     2**200], where d**4 could overflow or underflow to 0, d is first scaled
     by an exact power of two: the variance is scaled back, and skewness and
-    kurtosis, which do not depend on the scale, come from the scaled d."""
+    kurtosis, which do not depend on the scale, come from the scaled d. A
+    variance beyond the largest double raises FloatingPointError."""
     x = _finite_samples(samples, 2, "a moment report")
     n = x.size
     mean = float(np.mean(x))
@@ -91,7 +92,10 @@ def moments(samples) -> MomentReport:
     m2 = float(np.mean(d2))
     m3 = float(np.mean(d2 * d))
     m4 = float(np.mean(d2 * d2))
-    variance = math.ldexp(m2, -2 * shift) * n / (n - 1)
+    try:
+        variance = math.ldexp(m2 * n / (n - 1), -2 * shift)
+    except OverflowError:
+        raise FloatingPointError("the sample variance overflows a double") from None
     skewness = m3 / m2**1.5 if m2 > 0 else 0.0
     excess_kurtosis = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
     return MomentReport(count=n, mean=mean, variance=variance, skewness=skewness,

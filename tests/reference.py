@@ -5,8 +5,9 @@ A realization is drawn whole, one mode's stream at a time
 (observe): sigma_k Re{w_k conj(re_k + i im_k)}, with w_k = sqrt(2)
 exp(i theta_k) for Boyer. None of it goes through fields._mode_coefficients
 or kernels.mode_sum, so it shares no contraction code with
-fields.sample_observable. The empirical generating function and the
-lattice energy densities beside it are oracles no program path uses.
+fields.sample_observable. The empirical generating function, the lattice
+energy densities and the panel-by-panel resonance quadrature
+(gauss_panels) beside it are oracles no program path uses.
 
 pytest puts this directory on sys.path (there is no tests/__init__.py),
 so a test imports these names with ``from reference import ...``.
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zpfsim import rng
+from zpfsim import FiniteLaw, rng
 from zpfsim.constants import PhysicalConstants
 from zpfsim.fields import SQRT2, FieldKind, _as_kind, _mode_phase, _phases
 from zpfsim.lattice import ModeGrid
-from zpfsim.oscillator import OscillatorParams, _response
+from zpfsim.oscillator import OscillatorParams, _response, transfer
 from zpfsim.stats import _finite_samples
 
 
@@ -106,6 +107,12 @@ def coordinate_sample(real: FieldRealization, grid: ModeGrid, p: OscillatorParam
     return observe(real, grid, ht.real, ht.imag) @ grid.eps
 
 
+def coordinate_law(grid, p, direction):
+    """Exact law of the coordinate along direction for the modified field."""
+    h = transfer(grid.omega, p)
+    return FiniteLaw.of("modified", grid, direction, h.real, h.imag)
+
+
 def empirical_generating(samples, s_values):
     """Empirical characteristic function mean(exp(-i s X)) on a set of s
     values. Returns (complex means, standard errors of the real part)."""
@@ -142,3 +149,13 @@ def energy_density_bin_average(bin_edges, constants: PhysicalConstants):
     edges = np.asarray(bin_edges, dtype=float)
     w1, w2 = edges[:-1], edges[1:]
     return constants.hbar * (w2**4 - w1**4) / (8.0 * np.pi**2 * constants.c**3) / (w2 - w1)
+
+
+def gauss_panels(edges, f, nodes, weights):
+    """The Gauss rule on each panel between successive edges, one panel at
+    a time, added in panel order."""
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        total += half * np.sum(weights * f(0.5 * (a + b) + half * nodes))
+    return total

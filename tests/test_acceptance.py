@@ -14,19 +14,13 @@ from scipy import integrate
 import zpfsim as z
 from zpfsim.constants import PhysicalConstants
 
-from reference import empirical_generating
+from reference import coordinate_law, empirical_generating
 
 CONSTS = PhysicalConstants()
 # physically consistent narrow-line regime: gamma = e^2/(6 pi eps0 m c^3)
 WEAK = PhysicalConstants(electron_charge=0.01)
 
 ALPHA = 0.01
-
-
-def coordinate_law(grid, p, direction):
-    """Exact law of the coordinate along direction for the modified field."""
-    h = z.transfer(grid.omega, p)
-    return z.FiniteLaw.of("modified", grid, direction, h.real, h.imag)
 
 
 def report(num, ok, detail):

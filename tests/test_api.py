@@ -2,7 +2,6 @@
 deliberate API change, made here as well as in zpfsim/__init__.py."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -31,13 +30,7 @@ def test_public_names_pinned():
     assert names == PUBLIC
 
 
-def _child_env():
-    src = str(Path(zpfsim.__file__).parent.parent)
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
-def test_import_leaves_slow_modules_unloaded():
+def test_import_leaves_slow_modules_unloaded(child_env):
     """Importing the package and its CLI loads none of these: scipy.stats
     alone about doubles the start-up time of every run, and scipy.special
     is about half of it."""
@@ -45,20 +38,17 @@ def test_import_leaves_slow_modules_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, zpfsim, zpfsim.cli; "
          f"print([name for name in {slow!r} if name in sys.modules])"],
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=child_env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
-def test_sampling_commands_leave_scipy_unloaded(tmp_path):
-    """sample-mode, total-field, oscillator and figure1 run to the end
-    without loading scipy; generating loads it, for the Bessel product's j0."""
-    runs = [("sample-mode", {"samples": 2000}), ("total-field", {"samples": 2000}),
-            ("oscillator", {"samples": 2000, "constants": {"electron_charge": 0.01},
-                            "shells": {"n_shells": 8}}),
-            ("figure1", {}), ("generating", {"s_points": 11})]
+def test_sampling_commands_leave_scipy_unloaded(fuzz_cli, child_env, tmp_path):
+    """sample-mode, total-field, oscillator and figure1 run each base config
+    of tools/fuzz_cli.py to the end without loading scipy; generating loads
+    it, for the Bessel product's j0."""
     code = ["import contextlib, io, json, sys", "from zpfsim.cli import main"]
-    for i, (command, cfg) in enumerate(runs):
+    for i, (command, cfg) in enumerate(fuzz_cli.BASES):
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps({"seed": 5, **cfg}))
         code += ["with contextlib.redirect_stdout(io.StringIO()):",
@@ -66,9 +56,10 @@ def test_sampling_commands_leave_scipy_unloaded(tmp_path):
                  f"'--out', {str(tmp_path / str(i))!r}])",
                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:1])"]
     out = subprocess.run([sys.executable, "-c", "\n".join(code)],
-                         capture_output=True, text=True, env=_child_env(), timeout=120)
+                         capture_output=True, text=True, env=child_env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["0 []"] * 4 + ["0 ['scipy']"]
+    assert out.stdout.splitlines() == [f"0 {['scipy'] if command == 'generating' else []}"
+                                       for command, _ in fuzz_cli.BASES]
 
 
 def test_readme_config_table_matches_specs():

@@ -1,10 +1,8 @@
 import json
-import os
 import subprocess
 import sys
 import types
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +18,11 @@ LENGTH_WORDING = ("'component' must be three finite real numbers whose squared l
                   "a finite nonzero double")
 
 
-def run_module(*argv):
-    """python -m zpfsim argv in a child process. The child imports the package
-    under test, also when pytest alone put it on the path (pyproject's
-    pythonpath)."""
-    src = str(Path(zpfsim.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "zpfsim", *argv],
-                          capture_output=True, text=True, env=env)
+@pytest.fixture
+def run_module(child_env):
+    """python -m zpfsim argv in a child process, on the zpfsim under test."""
+    return lambda *argv: subprocess.run([sys.executable, "-m", "zpfsim", *argv],
+                                        capture_output=True, text=True, env=child_env)
 
 
 def read_report(out_dir):
@@ -357,7 +351,7 @@ class TestValidation:
     ], ids=["gen_c_denormal",
             "gen_hbar_huge", "gen_kvector_tiny", "gen_c_tiny", "gen_cutoff_huge",
             "osc_non_finite_report", "osc_hbar_huge_two_threads"])
-    def test_numerical_error_exit_2(self, tmp_path, command, text):
+    def test_numerical_error_exit_2(self, run_module, tmp_path, command, text):
         """An overflow, a division by zero or a non-finite result exits 2 with
         one line of message and writes nothing: numpy's warnings are raised,
         not printed. The run is a child process: the suite turns the numpy
@@ -375,7 +369,7 @@ class TestValidation:
                             else "numerical error: invalid value encountered in multiply")
         assert not (tmp_path / "o").exists()
 
-    def test_tiny_coordinates_exit_0(self, tmp_path):
+    def test_tiny_coordinates_exit_0(self, run_module, tmp_path):
         """hbar = 1e-308 gives coordinates of about 1e-154, whose fourth
         powers underflow to 0: the moments scale the deviations first, so
         the run reports, each axis's variance within 5 standard errors of
@@ -759,98 +753,57 @@ class TestGenerating:
             assert data["deviation"] == pytest.approx(expected, abs=1e-12)
 
 
-SWEEP_BASES = {
-    "sample-mode": {"samples": 10},
-    "total-field": {"samples": 10},
-    "oscillator": {"samples": 10, "constants": {"electron_charge": 0.01},
-                   "shells": {"n_shells": 8}},
-    "figure1": {},
-    "generating": {"s_points": 11},
-}
-# 3-vector fields, which the parser names whole
-VECTORS = {key for spec in cli.SPECS.values() for key, (_, parse) in spec.items()
-           if parse in (cli.POINT, cli.DIRECTION)}
+def extremes(path, leaf):
+    """Tier-1's values for a leaf of tools/fuzz_cli.py's walk: 1e-300 and
+    1e300 for a real, 2**53 for an integer but the seed."""
+    if isinstance(leaf, float):
+        return 1e-300, 1e300
+    return (2**53,) if type(leaf) is int and path != ("seed",) else ()
 
 
-def leaves(tree, kind, path=()):
-    """The path of every leaf of this type (bool aside) of a resolved config;
-    a list of them has the path of its first entry."""
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from leaves(value, kind, path + (key,))
-        elif isinstance(value, list) and isinstance(value[0], kind):
-            yield path + (key, 0)
-        elif isinstance(value, kind) and not isinstance(value, bool):
-            yield path + (key,)
+def test_extreme_values_keep_the_exit_contract(fuzz_cli, tmp_path, capsys):
+    """Each real-valued field of each base config of tools/fuzz_cli.py, set
+    alone to 1e-300 or 1e300, and each integer field but the seed, set alone
+    to 2**53, keeps that script's exit contract (fuzz_cli.violations): the
+    run exits 0, 1 or 2 with no source line on stderr, an exit 1 names the
+    field, a failed run leaves no output directory, and an exit 0 writes a
+    strict-JSON report. numpy refuses a 2**53-row array at once."""
+    runs, bad = 0, []
+    for runs, (command, path, value, cfg) in enumerate(fuzz_cli.jobs(extremes), 1):
+        config, out = tmp_path / f"c{runs}.json", tmp_path / f"o{runs}"
+        config.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        if found := fuzz_cli.violations(rc, err, path, out):
+            bad.append(f"{'; '.join(found)}: {command} {fuzz_cli.field_name(path)}={value}: "
+                       f"exit {rc}: {err}")
+    assert bad == []
+    assert runs == 2 * 60 + 19
 
 
-def test_extreme_values_keep_the_exit_contract(tmp_path, capsys):
-    """Each real-valued field of each subcommand, set alone to 1e-300 or
-    1e300, and each integer field but the seed, set alone to 2**53, in a
-    config that otherwise exits 0: the run exits 0, 1 or 2 with no source
-    line on stderr, an exit 1 names the field, and a failed run leaves no
-    output directory. numpy refuses a 2**53-row array at once."""
-    runs = 0
-    for command, base in SWEEP_BASES.items():
-        resolved = cli._resolve(cli.SPECS[command], {"seed": 1, **base})
-        del resolved["out"]
-        extremes = [(path, (1e-300, 1e300)) for path in leaves(resolved, float)]
-        extremes += [(path, (2**53,)) for path in leaves(resolved, int) if path != ("seed",)]
-        for path, values in extremes:
-            keys = [key for key in path if isinstance(key, str)]
-            names = [".".join(keys) + ("[0]" if path[-1] == 0 else "")]
-            if keys[0] in VECTORS:
-                names.append(keys[0])
-            for value in values:
-                cfg = json.loads(json.dumps(resolved))
-                node = cfg
-                for key in path[:-1]:
-                    node = node[key]
-                node[path[-1]] = value
-                runs += 1
-                config, out = tmp_path / f"c{runs}.json", tmp_path / f"o{runs}"
-                config.write_text(json.dumps(cfg))
-                rc = main([command, "--config", str(config), "--out", str(out)])
-                err = capsys.readouterr().err
-                case = f"{command} {names[0]}={value}: exit {rc}: {err}"
-                assert rc in (0, 1, 2), case
-                assert "Traceback" not in err and ".py:" not in err, case
-                assert rc != 1 or any(f"'{name}'" in err for name in names), case
-                assert rc == 0 or not out.exists(), case
-    assert runs == 2 * 39 + 12
+@pytest.mark.parametrize("command", list(cli.SPECS))
+def test_csv_files_contract(fuzz_cli, tmp_path, command):
+    """Every CSV a subcommand writes from each of its base configs in
+    tools/fuzz_cli.py starts '# zpfsim ' and has no clock line; reruns give
+    byte-identical CSVs and report.json."""
+    for i, base in enumerate(base for name, base in fuzz_cli.BASES if name == command):
+        config, a, b = tmp_path / f"{i}.json", tmp_path / f"{i}a", tmp_path / f"{i}b"
+        config.write_text(json.dumps(base))
+        for out in (a, b):
+            assert main([command, "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+        names = read_report(a)["files"]
+        assert names and all(name.endswith(".csv") for name in names)
+        assert sorted(p.name for p in a.iterdir()) == sorted([*names, "manifest.json",
+                                                              "report.json"])
+        for name in names:
+            lines = (a / name).read_text().splitlines()
+            assert lines[0].startswith("# zpfsim ")
+            assert not any(line.startswith("# generated:") for line in lines)
+        for name in [*names, "report.json"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample-mode", "--samples", "500"],
-    ["total-field", "--samples", "200"],
-    ["oscillator", "--samples", "200", "--config", "osc.json"],
-    ["figure1"],
-    ["generating"],
-], ids=lambda argv: argv[0])
-def test_csv_files_contract(tmp_path, argv):
-    """Every CSV a subcommand writes starts '# zpfsim ' and has no clock
-    line; reruns give byte-identical CSVs and report.json."""
-    (tmp_path / "osc.json").write_text(json.dumps({
-        "constants": {"hbar": 1.0, "eps0": 1.0, "c": 1.0,
-                      "electron_mass": 1.0, "electron_charge": 0.01},
-        "shells": {"n_shells": 8, "directions": "axes", "coverage": 0.999}}))
-    argv = [str(tmp_path / a) if a == "osc.json" else a for a in argv]
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
-    names = read_report(a)["files"]
-    assert names and all(name.endswith(".csv") for name in names)
-    assert sorted(p.name for p in a.iterdir()) == sorted([*names, "manifest.json",
-                                                          "report.json"])
-    for name in names:
-        lines = (a / name).read_text().splitlines()
-        assert lines[0].startswith("# zpfsim ")
-        assert not any(line.startswith("# generated:") for line in lines)
-    for name in [*names, "report.json"]:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(run_module, tmp_path):
     out = run_module("figure1", "--seed", "1", "--out", str(tmp_path / "m"), "--json")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["interior_zeros"] == 12

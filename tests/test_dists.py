@@ -11,7 +11,6 @@ import pytest
 from scipy import integrate
 from scipy.special import j0, ndtr
 
-import zpfsim
 from zpfsim import (
     Arcsine,
     BesselProductGF,
@@ -398,6 +397,16 @@ class TestFiniteLaw:
             assert FiniteLaw.of("boyer", grid, d, re, im).variance == pytest.approx(
                 FiniteLaw.of("modified", grid, d, re, im).variance, rel=1e-14)
 
+    def test_kind_given_by_name(self):
+        """A kind named by a string is its FieldKind, so every method picks
+        the right law; a name that is no kind is refused."""
+        one = np.array([1.0])
+        assert FiniteLaw("modified", one).cdf(0.5) == GaussianMode(1.0).cdf(0.5)
+        assert FiniteLaw("modified", one)(1.0) == math.exp(-0.5)
+        assert FiniteLaw("boyer", one).variance == 0.5
+        with pytest.raises(ValueError, match="'gauss' is not a valid FieldKind"):
+            FiniteLaw("gauss", one)
+
 
 def single_mode_arcsine(n_x):
     """One-mode Bessel product, its arcsine amplitude, and n_x points
@@ -742,7 +751,7 @@ def test_simd_independent_law_bits_pinned(medium_grid):
                                    "e239a2da437b22fc", "7f48b72efd13eff2"]
 
 
-def test_boyer_law_bits_without_simd_extensions():
+def test_boyer_law_bits_without_simd_extensions(child_env):
     """A child process with every CPU feature numpy dispatches to above its
     baseline turned off (NPY_DISABLE_CPU_FEATURES) computes the same Boyer
     law and Gaussian cdf bytes as this process."""
@@ -758,9 +767,7 @@ def test_boyer_law_bits_without_simd_extensions():
             f"print(*[__cpu_features__[name] for name in {found!r}])\n"
             "print(*test_dists.boyer_law_digests())\n"
             "print(test_dists.gaussian_cdf_digest())\n")
-    src = os.path.dirname(os.path.dirname(zpfsim.__file__))
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
-           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = {**child_env, "NPY_DISABLE_CPU_FEATURES": " ".join(found)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     disabled, digests, cdf_digest = done.stdout.splitlines()

@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from zpfsim import (
     ConvergenceError,
     FieldKind,
-    FiniteLaw,
     GaussianMode,
     OscillatorParams,
     bohr_radius_sq,
@@ -21,15 +22,12 @@ from zpfsim import kernels, oscillator
 from zpfsim.constants import PhysicalConstants
 from zpfsim.oscillator import fibonacci_directions
 
-from reference import FieldRealization, coordinate_sample, draw_realization, empirical_generating
+from reference import (FieldRealization, coordinate_law, coordinate_sample,
+                       draw_realization, empirical_generating, gauss_panels)
 
 CONSTS = PhysicalConstants()
 
 
-def coordinate_law(grid, p, direction):
-    """Exact law of the coordinate along direction for the modified field."""
-    h = transfer(grid.omega, p)
-    return FiniteLaw.of("modified", grid, direction, h.real, h.imag)
 WEAK = PhysicalConstants(electron_charge=0.01)  # narrow-line oscillator regime
 
 
@@ -279,6 +277,19 @@ class TestResonanceIntegral:
             quad, closed = resonance_integral(p, omega_max=200.0)
             devs.append(abs(quad - closed) / closed)
         assert devs[0] > devs[1] > devs[2]
+
+    @pytest.mark.parametrize("p", [
+        OscillatorParams.from_constants(1.0, WEAK), BROAD,
+        OscillatorParams(nu0=2.0, gamma=1e-9, gamma_prime=3.0, mass=1.0)],
+        ids=["weak", "broad", "narrow"])
+    def test_panel_sums_keep_the_loops_bits(self, p):
+        """One evaluation over all panels adds the panel sums in the order of
+        the panel-by-panel loop (tests/reference.py), so it returns its bits,
+        from the first panel count to the last doubling's (24 * 2**6)."""
+        rule, f = np.polynomial.legendre.leggauss(16), lambda w: w**3 * abs(transfer(w, p))**2
+        for cutoff, doubling in itertools.product((5.0, 50.0, 500.0), (0, 3, 6)):
+            edges = oscillator._resonance_edges(p, cutoff * p.nu0, 24 * 2**doubling)
+            assert oscillator._gauss_panels(edges, f, *rule) == gauss_panels(edges, f, *rule)
 
     def test_pinned_value(self):
         # the 48-panel sum, the first that agrees with the one before it

@@ -10,7 +10,6 @@ counted, and neither is which statements of a called function run.
 """
 
 import json
-import os
 import subprocess
 import sys
 import types
@@ -106,11 +105,9 @@ def package_functions() -> dict:
     return out
 
 
-def test_cli_runs_reach_every_unpinned_function(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+def test_cli_runs_reach_every_unpinned_function(child_env, tmp_path):
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(RUNS), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(RUNS)

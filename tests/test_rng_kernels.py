@@ -182,7 +182,7 @@ class TestModeSum:
             kernels.mode_sum("boyer", coef * 1.5e308, coef * 1.5e308, range(4), 30, 1, 0)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-    def test_one_cpu_sums_serially(self):
+    def test_one_cpu_sums_serially(self, child_env):
         code = (
             "import os, threading\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -197,10 +197,7 @@ class TestModeSum:
             "kernels.mode_sum('boyer', coef, coef, range(2), 4 * kernels.MIN_ROWS, 1, 0)\n"
             "print(kernels.WORKERS, calls == [threading.get_ident()], threading.active_count())\n"
         )
-        src = os.path.dirname(os.path.dirname(kernels.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
                               text=True, check=True, timeout=60)
         assert done.stdout.split() == ["1", "True", "1"]
 

@@ -78,6 +78,15 @@ class TestMoments:
         assert (rep.skewness, rep.excess_kurtosis) == (ref.skewness, ref.excess_kurtosis)
         assert rep.variance == math.ldexp(ref.variance, 2 * k)
 
+    @pytest.mark.parametrize("x", [
+        normal_samples(1000, 6) * 1e300, normal_samples(1000, 6) * 1e160,
+        [1.7e308, -1.7e308, 1.0]], ids=["1e300", "1e160", "finite_mean"])
+    def test_variance_overflow_is_named(self, x):
+        """A variance beyond the largest double raises FloatingPointError
+        (the CLI's exit 2) saying so, not math.ldexp's "math range error"."""
+        with pytest.raises(FloatingPointError, match="sample variance overflows a double"):
+            moments(x)
+
     def test_standard_errors_positive(self):
         rep = moments(normal_samples(100, 5))
         assert rep.se_mean > 0 and rep.se_variance > 0

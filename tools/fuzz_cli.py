@@ -8,12 +8,14 @@ its first entry), except the fields that take one of a few fixed values
 (CHOICES), is set alone to each of 26 extreme values: 2184 configs in
 all. Each runs as ``python -m zpfsim`` in a child process under a 3 GB
 address-space limit (RLIMIT_AS) and a timeout, at most two at a time
-(about 6.5 minutes on two cores). The script prints every contract
-violation:
+(about 7 minutes on two cores). The script prints every contract
+violation (``violations``):
 
 - an exit code outside {0, 1, 2}
 - a Traceback or a ``.py:`` source line on stderr
-- an exit 1 whose message does not name the changed field
+- an exit 1 whose message does not name the changed field: a list entry
+  by its index (``density_factors[0]``), unless the parser checks the
+  list as one value (WHOLE), which may be named whole
 - a non-zero exit that leaves an output directory
 - an exit 0 whose report.json holds a nan or an infinity
 
@@ -21,6 +23,9 @@ and then a count of exit codes, timeouts and violations. The children run
 the zpfsim that this script imports, so from the root of a checkout:
 
     PYTHONPATH=src python tools/fuzz_cli.py
+
+The Tier-1 suite imports this module and runs the same bases, walk and
+rule in process, on a slice of the values (tests/test_cli.py).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from zpfsim import cli
@@ -63,15 +68,20 @@ CHOICES = {"command", "out", "kind", "rng_layout", "oscillator.from_constants"}
 VALUES = [0, -0.0, 5e-324, 1e-308, 1e-300, 1e-200, 1e-154, 1e-9, 1e6, 1e7, 1e9, 1e150,
           1e154, 1e200, 1e300, 1e308, -1e308, -1.0, 2**53, 2**53 + 1, 2**63 - 1, 2**63,
           10**400, None, "x", True]
+# the lists the parser checks as one value, so an error names them whole
+WHOLE = {"r", "component", "direction", "shells.directions"}
 
 
 def leaves(tree, path=()):
-    """The path of every leaf of a resolved config; a list's is (key, 0)."""
+    """(path, value) of every leaf of a resolved config; a list's is
+    ((..., key, 0), its first entry)."""
     for key, value in tree.items():
         if isinstance(value, dict):
             yield from leaves(value, path + (key,))
+        elif isinstance(value, list):
+            yield path + (key, 0), value[0]
         else:
-            yield path + ((key, 0) if isinstance(value, list) else (key,))
+            yield path + (key,), value
 
 
 def field_name(path) -> str:
@@ -92,91 +102,82 @@ def with_value(base, resolved, path, value) -> dict:
     return cfg
 
 
-def jobs():
+def grid_values(path, leaf):
+    """This script's values for a leaf: VALUES, unless it is one of CHOICES."""
+    return () if field_name(path) in CHOICES else VALUES
+
+
+def jobs(values=grid_values):
+    """(command, path, value, config) for every base, every leaf path and
+    every value of values(path, the leaf's resolved value)."""
     for command, base in BASES:
         base = {"seed": 1, **base}
         resolved = cli._resolve(cli.SPECS[command], base)
-        for path in (p for p in leaves(resolved) if field_name(p) not in CHOICES):
-            for value in VALUES:
+        for path, leaf in leaves(resolved):
+            for value in values(path, leaf):
                 yield command, path, value, with_value(base, resolved, path, value)
 
 
-def limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
-
-
-def start(work: Path, command, cfg):
+def run(work: Path, command, cfg):
+    """(exit code, stderr) of cfg run by ``python -m zpfsim`` in a child
+    process, in the new directory work; the exit code is None on a timeout."""
     work.mkdir()
     (work / "c.json").write_text(json.dumps(cfg))
-    with open(work / "stdout", "w") as out, open(work / "stderr", "w") as err:
-        return subprocess.Popen(
+    try:
+        proc = subprocess.run(
             [sys.executable, "-m", "zpfsim", command, "--config", str(work / "c.json"),
-             "--out", str(work / "o")],
-            stdout=out, stderr=err, stdin=subprocess.DEVNULL, preexec_fn=limit_memory)
+             "--out", str(work / "o")], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return proc.returncode, proc.stderr
 
 
 def _raise(constant):
     raise ValueError(f"non-finite {constant}")
 
 
-def violations(work: Path, path, rc) -> list:
-    err = (work / "stderr").read_text()
+def violations(rc, err: str, path, out: Path) -> list:
+    """The contract clauses broken by a run that changed the leaf at path,
+    exited rc, printed err on stderr and was given the output directory out."""
     found = []
     if rc not in (0, 1, 2):
         found.append(f"exit {rc}")
     if "Traceback" in err or any(".py:" in line for line in err.splitlines()):
         found.append("source line on stderr")
-    name = field_name(path)
-    names = {f"'{name}'", f"'{name.removesuffix('[0]')}'"}
-    if rc == 1 and not any(n in err for n in names):
+    whole = ".".join(key for key in path if isinstance(key, str))
+    names = {field_name(path), *({whole} & WHOLE)}
+    if rc == 1 and not any(f"'{name}'" in err for name in names):
         found.append("exit 1 names no changed field")
-    if rc != 0 and (work / "o").exists():
+    if rc != 0 and out.exists():
         found.append("output directory left")
     if rc == 0:
         try:
-            json.loads((work / "o" / "report.json").read_text(), parse_constant=_raise)
+            json.loads((out / "report.json").read_text(), parse_constant=_raise)
         except (OSError, ValueError) as exc:
             found.append(f"bad report.json: {exc}")
     return found
 
 
 def main() -> int:
-    codes, bad, timeouts, total = collections.Counter(), 0, 0, 0
-    with tempfile.TemporaryDirectory() as tmp:
-        pending, running = iter(enumerate(jobs())), []
-        while True:
-            while len(running) < WORKERS:
-                item = next(pending, None)
-                if item is None:
-                    break
-                i, (command, path, value, cfg) = item
-                work = Path(tmp) / str(i)
-                running.append((start(work, command, cfg), time.monotonic(), work,
-                                command, path, value))
-            if not running:
-                break
-            time.sleep(0.01)
-            for job in list(running):
-                proc, began, work, command, path, value = job
-                if proc.poll() is None and time.monotonic() - began < TIMEOUT_S:
-                    continue
-                running.remove(job)
-                total += 1
-                where = f"{command} {field_name(path)}={json.dumps(value)}"
-                if proc.returncode is None:
-                    proc.kill()
-                    proc.wait()
-                    timeouts += 1
-                    print(f"timeout after {TIMEOUT_S:g} s: {where}", flush=True)
-                    continue
-                codes[proc.returncode] += 1
-                found = violations(work, path, proc.returncode)
-                if found:
-                    bad += 1
-                    last = ((work / "stderr").read_text().strip().splitlines() or [""])[-1]
-                    print(f"{'; '.join(found)}: {where} -> exit {proc.returncode}: "
-                          f"{last[:300]}", flush=True)
-    print(f"{total} configs, exits {dict(sorted(codes.items()))}, {timeouts} timeouts, "
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))   # children inherit it
+    codes, timeouts, bad = collections.Counter(), 0, 0
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        todo = list(jobs())
+        works = [Path(tmp) / str(i) for i in range(len(todo))]
+        results = pool.map(run, works, [job[0] for job in todo], [job[3] for job in todo])
+        for (command, path, value, _), work, (rc, err) in zip(todo, works, results):
+            where = f"{command} {field_name(path)}={json.dumps(value)}"
+            if rc is None:
+                timeouts += 1
+                print(f"timeout after {TIMEOUT_S:g} s: {where}", flush=True)
+                continue
+            codes[rc] += 1
+            if found := violations(rc, err, path, work / "o"):
+                bad += 1
+                last = (err.strip().splitlines() or [""])[-1]
+                print(f"{'; '.join(found)}: {where} -> exit {rc}: {last[:300]}", flush=True)
+    print(f"{len(todo)} configs, exits {dict(sorted(codes.items()))}, {timeouts} timeouts, "
           f"{bad} violations")
     return 1 if bad else 0
 
