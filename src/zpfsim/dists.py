@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .constants import PhysicalConstants
 from .fields import FieldKind, _as_kind, _mode_coefficients
 from .lattice import ModeGrid, unit_vector
@@ -161,7 +162,12 @@ class FiniteLaw:
         2^20 factors, raised to the m-th power by repeated squaring, and the
         groups are multiplied in ascending m. Only j0 and correctly rounded
         products are used (np.prod folds each row in order), so unlike
-        np.power the bits do not depend on numpy's SIMD level."""
+        np.power the bits do not depend on numpy's SIMD level. The distinct
+        |s| rows are split over the CPUs (kernels.split_rows) when the
+        product has at least 2 * kernels.MIN_FACTORS factors. Each range
+        runs the same group loop on its own |s|, in its own rows of the one
+        buffer, whose column block is sized from all the rows, so the bits
+        do not depend on the number of threads either."""
         s = np.asarray(s, dtype=float)
         if self.kind is FieldKind.MODIFIED:
             out = np.exp(-(s**2) * self.variance / 2.0)
@@ -170,18 +176,25 @@ class FiniteLaw:
 
         amps, mult = np.unique(self.amplitudes, return_counts=True)
         abs_s, inverse = np.unique(np.abs(s), return_inverse=True)
-        block = max(1, _BLOCK_ELEMENTS // max(1, abs_s.size))
-        buf = np.empty(abs_s.size * min(block, amps.size))
+        # the column block comes from all rows, so no split moves a block edge
+        block = min(max(1, _BLOCK_ELEMENTS // max(1, abs_s.size)), amps.size)
+        buf = np.empty((abs_s.size, block))   # one buffer; each range owns its rows
+        groups = [(amps[mult == m], int(m)) for m in np.unique(mult)]
         out = np.ones_like(abs_s)
-        for m in np.unique(mult):
-            group = amps[mult == m]
-            p = np.ones_like(abs_s)
-            for lo in range(0, group.size, block):
-                part = group[lo:lo + block]
-                factors = buf[:abs_s.size * part.size].reshape(abs_s.size, part.size)
-                np.multiply.outer(abs_s, part, out=factors)
-                p *= np.prod(j0(factors, out=factors), axis=1)
-            out *= _int_power(p, int(m))
+
+        def rows(lo, hi):
+            x, flat = abs_s[lo:hi], buf[lo:hi].reshape(-1)
+            for group, m in groups:
+                p = np.ones_like(x)
+                for k in range(0, group.size, block):
+                    part = group[k:k + block]
+                    factors = flat[:x.size * part.size].reshape(x.size, part.size)
+                    np.multiply.outer(x, part, out=factors)
+                    p *= np.prod(j0(factors, out=factors), axis=1)
+                out[lo:hi] *= _int_power(p, m)
+
+        kernels.split_rows(rows, abs_s.size,
+                           min(kernels.WORKERS, abs_s.size * amps.size // kernels.MIN_FACTORS))
         out = out[inverse].reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 

@@ -1,4 +1,4 @@
-"""Numpy mode sum: uniforms -> (X, Y), contraction over modes, row split.
+"""Numpy mode sum: uniforms -> (X, Y), contraction over modes; the row split.
 
 Every batch sampler draws a pair (X, Y) per realization from each mode's
 own stream (rng.py) and sums X a_k + Y b_k over the modes k. Boyer (random
@@ -26,17 +26,22 @@ layout change no bit. The transcendentals (tan, log1p) run on contiguous
 rows of the block's work buffers, which _sum_rows allocates once, since
 numpy's loop for a strided view can round differently.
 
-mode_sum computes every stream's Philox key once (rng.mode_keys), splits
-the rows [0, n) into up to WORKERS contiguous ranges of at least MIN_ROWS
-rows and sums each range in its own thread; numpy's Philox fill and its
-ufuncs release the GIL, and each thread writes only its own rows. A thread
-owns one generator per row of its blocks and sets it to each block's
-streams by state assignment (rng.position); no generator is shared. A
-row's uniforms are fixed by its realization index in each mode's
-counter-based stream, wherever its range begins, and each row is summed
-over the modes in order by one thread. So the bits depend neither on the
-number of threads or CPUs nor on the block sizes CHUNK and MODE_BLOCK,
-which the tests patch to check this.
+split_rows is the one row split: it runs a function of a row range on up
+to WORKERS contiguous ranges, the first on the calling thread and each
+other in its own pool thread. mode_sum computes every stream's Philox key
+once (rng.mode_keys) and splits the rows [0, n) into ranges of at least
+MIN_ROWS rows; numpy's Philox fill and its ufuncs release the GIL, and
+each thread writes only its own rows. A thread owns one generator per
+row of its blocks and sets it to each block's streams by state assignment
+(rng.position); no generator is shared. A row's uniforms are fixed by its
+realization index in each mode's counter-based stream, wherever its range
+begins, and each row is summed over the modes in order by one thread. So
+the bits depend neither on the number of threads or CPUs nor on the block
+sizes CHUNK and MODE_BLOCK, which the tests patch to check this.
+
+The Boyer generating function (dists.FiniteLaw.__call__) splits its
+distinct |s| rows by split_rows too, into ranges of at least MIN_FACTORS
+J0 factors each; scipy's j0 releases the GIL as well.
 """
 
 from __future__ import annotations
@@ -54,7 +59,12 @@ MODE_BLOCK = 1 << 15  # mode-samples (modes x realizations) per block of a mode 
 # first beats one thread at 1024-2048 rows per thread (stream positioning is
 # about 2 us per mode and thread)
 MIN_ROWS = 4096
-# threads a mode sum may use: the CPUs this process may run on
+# fewest J0 factors (distinct |s| x distinct A_k) worth a thread in the Boyer
+# generating function (dists.FiniteLaw.__call__): j0 costs 10-50 ns a factor
+# and a thread pool about 0.2 ms to start and join; the one-mode arcsine law
+# of 65 537 |s| stays on one thread, where a split saved 4% of its 13 ms
+MIN_FACTORS = 1 << 16
+# threads a mode sum or a Bessel product may use: the CPUs this process may run on
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -130,22 +140,30 @@ def mode_sum(kind, coef_a, coef_b, streams, n: int, seed: int, start: int) -> np
     any thread is raised here once every thread has finished."""
     out = np.zeros((n, coef_a.shape[1]), order="F")  # out[:, i] contiguous
     args = (kind == "modified", coef_a, coef_b, rng.mode_keys(seed, streams))
-    parts = max(1, min(WORKERS, n // MIN_ROWS))
-    if parts == 1:
-        _sum_rows(out, *args, start)
-        return out
-    # imported here, not at the top: scipy does not load it, so importing
-    # zpfsim stays as cheap as before, and a serial sum never needs it
+    split_rows(lambda lo, hi: _sum_rows(out[lo:hi], *args, start + lo), n,
+               min(WORKERS, n // MIN_ROWS))
+    return out
+
+
+def split_rows(fn, n: int, parts: int) -> None:
+    """fn(lo, hi) on min(parts, n) contiguous ranges [lo, hi) that cover
+    [0, n), or fn(0, n) alone when that is less than 2. The calling thread
+    runs the first range and pool threads the others, each in a copy of
+    the caller's context, so it keeps the caller's np.errstate (a context
+    variable). An error in any range is raised here once every range has
+    finished."""
+    parts = min(parts, n)
+    if parts < 2:
+        fn(0, n)
+        return
+    # imported here, not at the top: importing zpfsim does not load it, and
+    # a serial call never needs it
     from concurrent.futures import ThreadPoolExecutor
 
     edges = [n * p // parts for p in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:  # this thread sums the first range
-        # each worker runs in a copy of this thread's context, so it keeps
-        # the caller's np.errstate (a context variable)
-        done = [pool.submit(contextvars.copy_context().run, _sum_rows, out[lo:hi], *args,
-                            start + lo)
+    with ThreadPoolExecutor(parts - 1) as pool:
+        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
                 for lo, hi in zip(edges[1:-1], edges[2:])]
-        _sum_rows(out[:edges[1]], *args, start)
+        fn(0, edges[1])
     for future in done:
         future.result()
-    return out

@@ -781,6 +781,18 @@ def test_extreme_values_keep_the_exit_contract(fuzz_cli, tmp_path, capsys):
     assert runs == 2 * 60 + 19
 
 
+def test_fuzz_grid_fails_on_a_timeout(fuzz_cli, monkeypatch, capsys):
+    """tools/fuzz_cli.py exits 1 when a config times out, even with no
+    violation; the address-space limit is patched out so that it does not
+    land on this process."""
+    command, base = fuzz_cli.BASES[0]
+    monkeypatch.setattr(fuzz_cli, "jobs", lambda: iter([(command, ("seed",), 1, base)]))
+    monkeypatch.setattr(fuzz_cli, "run", lambda work, command, cfg: (None, ""))
+    monkeypatch.setattr(fuzz_cli.resource, "setrlimit", lambda *args: None)
+    assert fuzz_cli.main() == 1
+    assert "1 timeouts, 0 violations" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", list(cli.SPECS))
 def test_csv_files_contract(fuzz_cli, tmp_path, command):
     """Every CSV a subcommand writes from each of its base configs in
@@ -801,6 +813,21 @@ def test_csv_files_contract(fuzz_cli, tmp_path, command):
             assert not any(line.startswith("# generated:") for line in lines)
         for name in [*names, "report.json"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_generating_bits_do_not_depend_on_threads(tmp_path, monkeypatch):
+    """generating writes the same bytes whether each Bessel product runs on
+    one thread or is split over three."""
+    monkeypatch.setattr(kernels, "MIN_FACTORS", 1)
+    outs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        outs[workers] = tmp_path / str(workers)
+        assert main(["generating", "--seed", "2", "--out", str(outs[workers])]) == 0
+    names = read_report(outs[1])["files"]
+    assert len(names) == 3
+    for name in [*names, "report.json"]:
+        assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes()
 
 
 def test_module_entry_point(run_module, tmp_path):

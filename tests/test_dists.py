@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,16 @@ from zpfsim import (
     total_field_sigma,
     transfer,
 )
+from zpfsim import kernels
 from zpfsim.constants import PhysicalConstants
-from zpfsim.dists import FiniteLaw, _chirp_z, _fft_length, _ndtr, boyer_generating
+from zpfsim.dists import (
+    _BLOCK_ELEMENTS,
+    FiniteLaw,
+    _chirp_z,
+    _fft_length,
+    _ndtr,
+    boyer_generating,
+)
 from zpfsim.fields import FieldKind
 
 from reference import binned_energy_density, energy_density_bin_average
@@ -366,6 +375,89 @@ class TestGroupedBesselProduct:
             boyer_generating(1.0, direction, small_grid)
         with pytest.raises(ValueError, match="direction"):
             FiniteLaw.of("modified", small_grid, direction).variance
+
+
+@pytest.fixture
+def split_ranges(monkeypatch):
+    """(lo, hi, thread) of each range kernels.split_rows runs; every product
+    splits, one range per thread of kernels.WORKERS."""
+    monkeypatch.setattr(kernels, "MIN_FACTORS", 1)
+    split_rows, ranges = kernels.split_rows, []
+
+    def traced(fn, n, parts):
+        def run(lo, hi):
+            ranges.append((lo, hi, threading.get_ident()))
+            fn(lo, hi)
+        split_rows(run, n, parts)
+
+    monkeypatch.setattr(kernels, "split_rows", traced)
+    return ranges
+
+
+class TestSplitBesselProduct:
+    # 8 distinct amplitudes shared by each of 1, 2, 3, 5 and 8 modes, rows shuffled
+    ROWS = np.random.default_rng(5).permutation(
+        np.repeat(np.linspace(0.05, 0.6, 40), np.tile([1, 2, 3, 5, 8], 8)))
+
+    @pytest.mark.parametrize("s, n_rows", [
+        (3.7, 1),
+        (np.array([]), 0),
+        (np.array([-2.0, 2.0, 5.0]), 2),   # fewer distinct |s| than threads
+        ((np.arange(401) - 200) * 0.06, 201),
+    ], ids=["scalar", "empty", "two-rows", "groups"])
+    def test_bits_do_not_depend_on_threads(self, monkeypatch, split_ranges, s, n_rows):
+        # blocks of 3 amplitudes: each group of 8 spans three column blocks
+        monkeypatch.setattr("zpfsim.dists._BLOCK_ELEMENTS", 3 * max(1, n_rows))
+        law, out = FiniteLaw("boyer", self.ROWS), {}
+        threads = threading.active_count()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            split_ranges.clear()
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+            try:
+                out[workers] = law(s)
+            finally:
+                sys.setswitchinterval(switch)
+            assert threading.active_count() == threads
+            parts = max(1, min(workers, n_rows))
+            assert sorted(lo for lo, _, _ in split_ranges) == \
+                [n_rows * p // parts for p in range(parts)]
+            # the calling thread runs the first range and pool threads the rest
+            assert [ident == threading.get_ident() for _, _, ident in sorted(split_ranges)] == \
+                [True] + [False] * (parts - 1)
+            assert type(out[workers]) is type(out[1])
+            assert np.array_equal(out[workers], out[1])
+        ref = np.prod(j0(np.multiply.outer(s, self.ROWS)), axis=-1)
+        assert np.max(np.abs(out[1] - ref), initial=0.0) <= 1e-13
+
+    def test_worker_error_reraised_after_all_ranges(self, monkeypatch, split_ranges):
+        # the largest |s| is the last row, in the worker's range, and A |s| overflows
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        s = np.array([1.0, 2.0, 3.0, 1e308])
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            FiniteLaw("boyer", np.array([2.0]))(s)
+        assert [(lo, hi) for lo, hi, _ in sorted(split_ranges)] == [(0, 2), (2, 4)]
+        assert sorted(split_ranges)[1][2] != threading.get_ident()
+        assert threading.active_count() == threads
+
+    def test_memory_is_one_buffer_plus_rows(self, monkeypatch):
+        # gf-inversion's densest sweep grid: 3676 modes, 4097 distinct |s|, two threads
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        grid = build_grid(4 * np.pi * 16 ** (1 / 3), 1.5)
+        law = FiniteLaw.of("boyer", grid, (0.3, -0.5, 0.8))
+        s = (np.arange(8193) - 4096) * 0.01
+        law(s[:2])   # scipy.special loads outside the trace
+        rows = 4097
+        block = min(_BLOCK_ELEMENTS // rows, np.unique(law.amplitudes).size)
+        tracemalloc.start()
+        try:
+            law(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * block * 8 + 16 * s.nbytes
 
 
 def law_rows(small_grid):

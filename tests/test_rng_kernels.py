@@ -196,10 +196,16 @@ class TestModeSum:
             "coef = np.ones((2, 3))\n"
             "kernels.mode_sum('boyer', coef, coef, range(2), 4 * kernels.MIN_ROWS, 1, 0)\n"
             "print(kernels.WORKERS, calls == [threading.get_ident()], threading.active_count())\n"
+            # a Bessel product of 4 * MIN_FACTORS factors, which two CPUs split
+            "from zpfsim.dists import FiniteLaw\n"
+            "starts, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (starts.append(self), start(self))[1]\n"
+            "FiniteLaw('boyer', np.arange(1.0, 65.0))(np.arange(kernels.MIN_FACTORS // 16))\n"
+            "print(len(starts))\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
                               text=True, check=True, timeout=60)
-        assert done.stdout.split() == ["1", "True", "1"]
+        assert done.stdout.split() == ["1", "True", "1", "0"]
 
     @pytest.mark.parametrize("kind", ["boyer", "modified"])
     @pytest.mark.parametrize("modes, n, chunk, mode_block", [

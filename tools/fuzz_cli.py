@@ -19,7 +19,8 @@ violation (``violations``):
 - a non-zero exit that leaves an output directory
 - an exit 0 whose report.json holds a nan or an infinity
 
-and then a count of exit codes, timeouts and violations. The children run
+and then a count of exit codes, timeouts and violations. It exits 1 if any
+config broke the contract or timed out, else 0. The children run
 the zpfsim that this script imports, so from the root of a checkout:
 
     PYTHONPATH=src python tools/fuzz_cli.py
@@ -179,7 +180,7 @@ def main() -> int:
                 print(f"{'; '.join(found)}: {where} -> exit {rc}: {last[:300]}", flush=True)
     print(f"{len(todo)} configs, exits {dict(sorted(codes.items()))}, {timeouts} timeouts, "
           f"{bad} violations")
-    return 1 if bad else 0
+    return 1 if bad or timeouts else 0
 
 
 if __name__ == "__main__":
